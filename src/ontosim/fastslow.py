@@ -10,10 +10,14 @@ the full map on (slow state, all clock phases) is a bijection: the machine
 is exactly reversible and has a finite recursion time.
 
 A step is swap-after-tick: all phases advance first, then every special
-point whose trigger matches the new phases fires.  The builder statically
-rejects tables in which two firing points could touch the same slow state in
-the same step, so the firing set is always a product of disjoint
-transpositions.
+point whose trigger matches the new phases fires.  The conflict rule lives
+in one place, :func:`_validate_model`, which every model passes at
+construction: no two points on different pairs may claim the same value on
+the clock of a shared slow state.  So the firing set is always a product of
+disjoint transpositions, and every stepping path (:func:`step`,
+:func:`run_ensemble`, :func:`enumerate_exact`, :func:`step_tables`) applies
+it with one firing test per coupled pair, at a cost that grows with the
+number of coupled pairs, not with the number of special points.
 
 Clock periods are meant to be large compared with the inverse couplings of
 interest; that is a soft convention, so the builder only warns (never
@@ -25,7 +29,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import IO, NamedTuple
 
 import numpy as np
@@ -89,13 +93,11 @@ class OntologicalModel:
     periods: tuple[int, ...]
     special_points: tuple[SpecialPoint, ...] = ()
     site_labels: tuple[str, ...] | None = None
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate: bool):
+    def __post_init__(self):
         object.__setattr__(self, "periods", tuple(int(p) for p in self.periods))
         object.__setattr__(self, "special_points", tuple(self.special_points))
-        if validate:
-            _validate_model(self, warn_small_periods=True)
+        _validate_model(self)
 
     @property
     def phase_space_size(self) -> int:
@@ -109,7 +111,7 @@ class OntologicalModel:
         return self.slow_count * self.phase_space_size
 
 
-def _validate_model(model: OntologicalModel, warn_small_periods: bool = False) -> None:
+def _validate_model(model: OntologicalModel) -> None:
     n = model.slow_count
     if n < 1:
         raise ModelValidationError("slow_count must be >= 1")
@@ -121,12 +123,20 @@ def _validate_model(model: OntologicalModel, warn_small_periods: bool = False) -
     if model.site_labels is not None and len(model.site_labels) != n:
         raise ModelValidationError("site_labels length must equal slow_count")
     small = [p for p in model.periods if p < 10]
-    if small and warn_small_periods:
+    if small:
+        # 4 frames up: this function, __post_init__, the dataclass __init__,
+        # then the line that constructed the model.
         warnings.warn(
             f"clock periods {small} are below 10; the fast/slow separation is marginal",
-            FastPeriodWarning, stacklevel=3)
+            FastPeriodWarning, stacklevel=4)
 
+    # The conflict rule.  A point on pair (a, b) can only fire while clock a
+    # reads trigger[0], so it claims the slot (a, trigger[0]), and likewise
+    # (b, trigger[1]).  Two points on different pairs that claim one slot
+    # fire together on that state.  Points on the same pair may share a slot:
+    # they differ on the other clock, so they never fire together.
     seen: set[tuple] = set()
+    owner: dict[tuple[int, int], SpecialPoint] = {}
     for sp in model.special_points:
         a, b = sp.pair
         if not (0 <= a < n and 0 <= b < n):
@@ -138,24 +148,12 @@ def _validate_model(model: OntologicalModel, warn_small_periods: bool = False) -
         if key in seen:
             raise ConflictingSwapError(f"duplicate special point {key}")
         seen.add(key)
-
-    # Static conflict scan: two points sharing exactly one slow state fire in
-    # the same step iff their trigger values on the shared clock coincide.
-    # (Points on the same pair can never fire together; their triggers differ
-    # on at least one shared clock.)
-    points = model.special_points
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            shared = set(points[i].pair) & set(points[j].pair)
-            if len(shared) != 1:
-                continue
-            s = shared.pop()
-            vi = points[i].trigger[points[i].pair.index(s)]
-            vj = points[j].trigger[points[j].pair.index(s)]
-            if vi == vj:
+        for s, v in zip(sp.pair, sp.trigger):
+            first = owner.setdefault((s, v), sp)
+            if first.pair != sp.pair:
                 raise ConflictingSwapError(
-                    f"points {points[i]} and {points[j]} can both fire on state {s} "
-                    f"(shared clock value {vi})")
+                    f"points {first} and {sp} can both fire on state {s} "
+                    f"(shared clock value {v})")
 
 
 # ---------------------------------------------------------------------------
@@ -207,33 +205,49 @@ def _check_config(model: OntologicalModel, config: ClassicalConfig) -> None:
             raise ConfigError(f"phase {phase} outside clock {i} period {period}")
 
 
-def _advance_and_swap(model: OntologicalModel, slow: np.ndarray, phases: np.ndarray) -> None:
-    """Vectorized step over a batch: tick every clock, then fire special points.
+class _FiringTable(NamedTuple):
+    """The special-point table grouped by coupled pair.
 
-    ``slow`` is (S,), ``phases`` is (S, n_clocks); both are updated in place.
-    Firing pairs are disjoint for a valid model, so the swaps are applied
-    against the pre-swap occupancy; a double hit on one sample means the
-    table is inconsistent and raises.
+    ``pairs`` holds one ``(a, b, period_b, codes)`` per coupled pair a < b,
+    where ``codes`` are the sorted ``trigger_a * period_b + trigger_b`` of its
+    points.  Its size is O(points) whatever the clock periods.
     """
-    phases += 1
-    np.remainder(phases, np.asarray(model.periods, dtype=np.int64), out=phases)
-    if not model.special_points:
-        return
-    masks = []
-    touched = np.zeros(slow.shape, dtype=np.int8)
+
+    periods: np.ndarray
+    pairs: tuple[tuple[int, int, int, np.ndarray], ...]
+
+
+def _firing_table(model: OntologicalModel) -> _FiringTable:
+    codes: dict[tuple[int, int], list[int]] = {}
     for sp in model.special_points:
         a, b = sp.pair
-        fired = (phases[:, a] == sp.trigger[0]) & (phases[:, b] == sp.trigger[1])
-        masks.append(fired)
-        touched += (fired & ((slow == a) | (slow == b))).astype(np.int8)
-    if touched.max() > 1:
-        raise ConflictingSwapError("two interchanges touched the same slow state in one step")
-    new_slow = slow.copy()
-    for sp, fired in zip(model.special_points, masks):
-        a, b = sp.pair
-        new_slow[fired & (slow == a)] = b
-        new_slow[fired & (slow == b)] = a
-    slow[:] = new_slow
+        codes.setdefault((a, b), []).append(sp.trigger[0] * model.periods[b] + sp.trigger[1])
+    pairs = tuple((a, b, model.periods[b], np.sort(np.array(c, dtype=np.int64)))
+                  for (a, b), c in sorted(codes.items()))
+    return _FiringTable(np.asarray(model.periods, dtype=np.int64), pairs)
+
+
+def _fired(table: _FiringTable, phases: np.ndarray):
+    """Yield ``(a, b, mask)`` per coupled pair: rows of ``phases`` where it fires."""
+    for a, b, period_b, codes in table.pairs:
+        x = phases[:, a] * period_b + phases[:, b]
+        yield a, b, codes.take(np.searchsorted(codes, x), mode="clip") == x
+
+
+def _tick_and_fire(table: _FiringTable, slow: np.ndarray, phases: np.ndarray) -> None:
+    """The stepping kernel: tick every clock, then swap wherever a pair fires.
+
+    ``slow`` is (S,), ``phases`` is (S, n_clocks); both are updated in place.
+    A valid model never fires two pairs that share a slow state in one step,
+    so applying the pairs one after another equals applying them at once.
+    """
+    phases += 1
+    np.remainder(phases, table.periods, out=phases)
+    for a, b, fired in _fired(table, phases):
+        to_b = fired & (slow == a)
+        to_a = fired & (slow == b)
+        slow[to_b] = b
+        slow[to_a] = a
 
 
 def step(model: OntologicalModel, config: ClassicalConfig) -> ClassicalConfig:
@@ -241,7 +255,7 @@ def step(model: OntologicalModel, config: ClassicalConfig) -> ClassicalConfig:
     _check_config(model, config)
     slow = np.array([config.slow], dtype=np.int64)
     phases = np.array([config.phases], dtype=np.int64)
-    _advance_and_swap(model, slow, phases)
+    _tick_and_fire(_firing_table(model), slow, phases)
     return ClassicalConfig(slow=int(slow[0]), phases=tuple(int(v) for v in phases[0]))
 
 
@@ -252,29 +266,20 @@ def step_tables(model: OntologicalModel) -> tuple[np.ndarray, np.ndarray]:
     phase flat index after the tick and ``slow_image[p, s]`` the slow state an
     occupant of ``s`` ends in when the ticked phases have flat index built
     from combination ``p``.  Flat image of config (s, p) is
-    ``slow_image[p, s] * P + rotated_flat[p]``.
+    ``slow_image[p, s] * P + rotated_flat[p]``.  The model was checked for
+    conflicts when it was built (:func:`_validate_model`); the table is filled
+    with one firing test per coupled pair.
     """
     if model.ontic_space_size > ENUMERATION_CAP:
         raise ontodyn.SizeCapError(
             f"ontic space {model.ontic_space_size} exceeds enumeration cap {ENUMERATION_CAP}")
-    _validate_model(model)
-    p_total = model.phase_space_size
-    rows = _all_phase_rows(model)
-    rotated = (rows + 1) % np.asarray(model.periods, dtype=np.int64)
+    table = _firing_table(model)
+    rotated = (_all_phase_rows(model) + 1) % table.periods
     rotated_flat = rotated @ phase_strides(model.periods)
-
-    n = model.slow_count
-    slow_image = np.tile(np.arange(n, dtype=np.int64), (p_total, 1))
-    touched = np.zeros((p_total, n), dtype=np.int8)
-    for sp in model.special_points:
-        a, b = sp.pair
-        fired = (rotated[:, a] == sp.trigger[0]) & (rotated[:, b] == sp.trigger[1])
-        touched[fired, a] += 1
-        touched[fired, b] += 1
+    slow_image = np.tile(np.arange(model.slow_count, dtype=np.int64), (rotated.shape[0], 1))
+    for a, b, fired in _fired(table, rotated):
         slow_image[fired, a] = b
         slow_image[fired, b] = a
-    if touched.max(initial=0) > 1:
-        raise ConflictingSwapError("special-point table fires two swaps on one slow state")
     return rotated_flat, slow_image
 
 
@@ -288,8 +293,7 @@ def step_map(model: OntologicalModel) -> ontodyn.PermutationLaw:
 def check_bijectivity(model: OntologicalModel) -> ontodyn.CycleDecomposition:
     """Enumerate the step map and decompose it, proving reversibility.
 
-    Raises if the table is inconsistent or the enumerated map fails to be a
-    bijection.
+    Raises if the enumerated map fails to be a bijection.
     """
     return ontodyn.decompose(step_map(model))
 
@@ -322,19 +326,33 @@ def run_ensemble(model: OntologicalModel, initial_slow: int, horizon: int,
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
+    _check_run(model, initial_slow, horizon)
+    phases = random_phases(model, sample_count, phase_rng(seed))
+    return _occupation_counts(model, initial_slow, horizon, phases) / sample_count
+
+
+def _check_run(model: OntologicalModel, initial_slow: int, horizon: int) -> None:
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     if not 0 <= initial_slow < model.slow_count:
         raise ConfigError(f"unknown slow state {initial_slow}")
-    rng = phase_rng(seed)
-    phases = random_phases(model, sample_count, rng)
-    slow = np.full(sample_count, initial_slow, dtype=np.int64)
-    freq = np.empty((horizon + 1, model.slow_count))
-    freq[0] = np.bincount(slow, minlength=model.slow_count) / sample_count
+
+
+def _occupation_counts(model: OntologicalModel, initial_slow: int, horizon: int,
+                       phases: np.ndarray) -> np.ndarray:
+    """Row t counts the samples in each slow state after t steps.
+
+    Every sample starts in ``initial_slow`` with its row of ``phases``, which
+    the stepping kernel advances in place.
+    """
+    table = _firing_table(model)
+    slow = np.full(phases.shape[0], initial_slow, dtype=np.int64)
+    counts = np.empty((horizon + 1, model.slow_count), dtype=np.int64)
+    counts[0] = np.bincount(slow, minlength=model.slow_count)
     for t in range(1, horizon + 1):
-        _advance_and_swap(model, slow, phases)
-        freq[t] = np.bincount(slow, minlength=model.slow_count) / sample_count
-    return freq
+        _tick_and_fire(table, slow, phases)
+        counts[t] = np.bincount(slow, minlength=model.slow_count)
+    return counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,19 +377,10 @@ def enumerate_exact(model: OntologicalModel, initial_slow: int, horizon: int) ->
     if model.phase_space_size > ENUMERATION_CAP:
         raise ontodyn.SizeCapError(
             f"phase space {model.phase_space_size} exceeds enumeration cap {ENUMERATION_CAP}")
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    if not 0 <= initial_slow < model.slow_count:
-        raise ConfigError(f"unknown slow state {initial_slow}")
+    _check_run(model, initial_slow, horizon)
     phases = _all_phase_rows(model)
-    total = phases.shape[0]
-    slow = np.full(total, initial_slow, dtype=np.int64)
-    counts = np.zeros((horizon + 1, model.slow_count), dtype=np.int64)
-    counts[0] = np.bincount(slow, minlength=model.slow_count)
-    for t in range(1, horizon + 1):
-        _advance_and_swap(model, slow, phases)
-        counts[t] = np.bincount(slow, minlength=model.slow_count)
-    return ExactOccupation(counts=counts, total=total)
+    counts = _occupation_counts(model, initial_slow, horizon, phases)
+    return ExactOccupation(counts=counts, total=phases.shape[0])
 
 
 # ---------------------------------------------------------------------------

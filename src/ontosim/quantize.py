@@ -63,26 +63,6 @@ class ProjectionMismatchError(RuntimeError):
 # ---------------------------------------------------------------------------
 # indexing
 
-@dataclass(frozen=True)
-class HilbertIndex:
-    """Position of a product basis state, both structured and flattened."""
-
-    slow: int
-    phases: tuple[int, ...]
-    flat: int
-
-
-def hilbert_index(model: fastslow.OntologicalModel, slow: int, phases) -> HilbertIndex:
-    phases = tuple(int(v) for v in phases)
-    return HilbertIndex(slow=slow, phases=phases,
-                        flat=fastslow.flat_config(model, slow, phases))
-
-
-def hilbert_index_from_flat(model: fastslow.OntologicalModel, flat: int) -> HilbertIndex:
-    cfg = fastslow.unflatten_config(model, flat)
-    return HilbertIndex(slow=cfg.slow, phases=cfg.phases, flat=int(flat))
-
-
 def _matching_phase_flats(model: fastslow.OntologicalModel, fixed: Mapping[int, int]) -> np.ndarray:
     """Flat phase indices of every combination matching the fixed clock values."""
     strides = fastslow.phase_strides(model.periods)

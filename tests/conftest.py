@@ -39,6 +39,27 @@ def random_model(rng: np.random.Generator, max_slow: int = 4, min_period: int = 
                                      special_points=points)
 
 
+def reference_step(model: fastslow.OntologicalModel, slow: np.ndarray,
+                   phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point oracle for the stepping kernel: tick, then test every point.
+
+    Swaps are applied against the pre-swap occupancy and a sample hit by two
+    firing points fails the assertion, so this needs no conflict rule of its
+    own.  Returns new ``(slow, phases)`` arrays.
+    """
+    phases = (phases + 1) % np.asarray(model.periods, dtype=np.int64)
+    new_slow = slow.copy()
+    hits = np.zeros(slow.shape, dtype=np.int64)
+    for sp in model.special_points:
+        a, b = sp.pair
+        fired = (phases[:, a] == sp.trigger[0]) & (phases[:, b] == sp.trigger[1])
+        hits += fired & ((slow == a) | (slow == b))
+        new_slow[fired & (slow == a)] = b
+        new_slow[fired & (slow == b)] = a
+    assert hits.max(initial=0) <= 1, "two interchanges touched one slow state"
+    return new_slow, phases
+
+
 def two_state_model(period_a: int, period_b: int,
                     trigger=(0, 0)) -> fastslow.OntologicalModel:
     return fastslow.OntologicalModel(

@@ -116,9 +116,10 @@ def test_criterion_07_flip_period_consistency():
         phases = fastslow._all_phase_rows(model)
         slow = np.zeros(phases.shape[0], dtype=np.int64)
         flips = np.zeros(phases.shape[0], dtype=np.int64)
+        table = fastslow._firing_table(model)
         for t in range(1, 2 * joint + 1):
             before = slow.copy()
-            fastslow._advance_and_swap(model, slow, phases)
+            fastslow._tick_and_fire(table, slow, phases)
             flips += before != slow
             if t == joint:
                 ok = ok and bool(np.all(flips == 1)) and bool(np.all(slow == 1))

@@ -63,6 +63,11 @@ class TestModelValidation:
         with pytest.warns(fastslow.FastPeriodWarning):
             fastslow.OntologicalModel(slow_count=1, periods=(3,))
 
+    def test_small_period_warning_names_the_constructing_line(self):
+        with pytest.warns(fastslow.FastPeriodWarning) as record:
+            fastslow.OntologicalModel(slow_count=1, periods=(3,))
+        assert record[0].filename == __file__
+
 
 class TestStep:
     def test_free_rotation(self):
@@ -108,13 +113,6 @@ class TestCheckBijectivity:
             special_points=(fastslow.SpecialPoint(pair=(0, 1), trigger=(0, 0)),))
         d = fastslow.check_bijectivity(m)
         assert sum(d.ranks) == 2 * 15
-
-    def test_conflicting_table_detected(self):
-        sp = fastslow.SpecialPoint(pair=(0, 1), trigger=(0, 0))
-        bad = fastslow.OntologicalModel(slow_count=2, periods=(2, 2),
-                                        special_points=(sp, sp), validate=False)
-        with pytest.raises(fastslow.ConflictingSwapError):
-            fastslow.check_bijectivity(bad)
 
     def test_reversibility_property(self):
         rng = make_rng(11)
@@ -221,9 +219,10 @@ class TestEnumerateExact:
                           axis=-1).reshape(-1, 2).astype(np.int64)
         slow = np.zeros(15, dtype=np.int64)
         flips = np.zeros(15, dtype=np.int64)
+        table = fastslow._firing_table(m)
         for _ in range(joint):
             before = slow.copy()
-            fastslow._advance_and_swap(m, slow, phases)
+            fastslow._tick_and_fire(table, slow, phases)
             flips += before != slow
         assert np.all(flips == 2)
 

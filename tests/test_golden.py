@@ -1,0 +1,105 @@
+"""Pinned sha256 digests of the machine's seeded and exact outputs.
+
+Any rewrite of the stepping code must reproduce these bit for bit: the
+Philox-seeded ensemble tables, the ``ontosim simulate`` CSV bytes, the exact
+occupation counts, the step-map image and the signed Koopman permutation.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from ontosim import cli, fastslow, quantize
+from ontosim.fixtures import fixture_path
+
+from conftest import make_rng, random_model
+
+TWO_STATE = str(fixture_path("two_state_10_7.json"))
+RANDOM_SEEDS = (2020, 2021, 2025)
+
+
+def machine(name: str) -> fastslow.OntologicalModel:
+    if name == "two_state_10_7":
+        return fastslow.load_model(TWO_STATE)
+    seed = int(name.rsplit("_", 1)[1])
+    return random_model(make_rng(seed), min_slow=2, min_points=2)
+
+
+def digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+GOLDEN = {
+    "two_state_10_7": {
+        "ensemble":
+            "eed8a6feec5df7d02893dd01227b84310167ccfa4b01e5b0db31734edd0806eb",
+        "exact":
+            "d7a9d42dc42903478120c3731f2b9a1e9e658c3dd2b8c592f5d28841e0ffe08b",
+        "step_map":
+            "d0ab7d4261012a185b6dfd147e5bf82936dd6a1743fa8c5358de59f5237b4ca9",
+        "koopman":
+            "dce896c70aa3c9354e37910041bba29a00e82c3c0c31b316b2c841aee00315ab",
+    },
+    "random_2020": {
+        "ensemble":
+            "6476b8dd8c5b0c50bd52cfaec17bd78bdcbb546a29950c70ec6e9d3d7b53d4bf",
+        "exact":
+            "721f6be6a965a1ec1fe86a9bf1943b6de076513c97f9710dc184b8fe811fd9ed",
+        "step_map":
+            "baf71ef088c50460d9b1b4c088bea74198a52f3ec4dc918ee102b1c88ef81708",
+        "koopman":
+            "5489501149c4b33551efa75e1afac9f45c9f815e49ec12f4b34da5cfbd724d69",
+    },
+    "random_2021": {
+        "ensemble":
+            "ae214c9609257279116ef797d4d05db4e21ad4144c149e8f9b3b495436596b0b",
+        "exact":
+            "4c9fcfb1394b3a32232750cb4e61385fc40d487b90ae3db138daadc9d312cf79",
+        "step_map":
+            "9819e41060e9e088f94bded7a7b807b21c45c5934b54b10b2e58f068050fd576",
+        "koopman":
+            "2df2f0b0430a6e6a96b25a42b273cff39bd282edc32f247423462d31cda8d788",
+    },
+    "random_2025": {
+        "ensemble":
+            "5ec40e84d6a320d4cae94cc800adf641626c542c7d552a1f274b95a468ac35fb",
+        "exact":
+            "229eb5377e365cc4ec81c9042a471ed001c94a3cf7b492cb411632a60736ca21",
+        "step_map":
+            "5a62ca74a81764ce3c0e7284f5fc2be699bce2923a5c38f1fabd9bfda5a8d8fa",
+        "koopman":
+            "d1db320e396ed0f6ab7f1781be45569a79da853eef0caa342749e651c0e30af8",
+    },
+}
+SIMULATE_CSV = "804621b545a5f092769141e7fcf67b5fff563073f5c76b77ff76a2f253c1136b"
+
+
+def outputs(model: fastslow.OntologicalModel) -> dict:
+    freq = fastslow.run_ensemble(model, 0, 60, 400, seed=7)
+    occ = fastslow.enumerate_exact(model, 0, 60)
+    perm, sign = quantize.koopman_step_operator(model)
+    return {
+        "ensemble": digest(np.asarray(freq, dtype=np.float64)),
+        "exact": digest(np.asarray(occ.counts, dtype=np.int64), np.int64(occ.total)),
+        "step_map": digest(np.asarray(fastslow.step_map(model).image, dtype=np.int64)),
+        "koopman": digest(np.asarray(perm, dtype=np.int64), np.asarray(sign, dtype=np.int8)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_machine_outputs_match_golden(name):
+    assert outputs(machine(name)) == GOLDEN[name]
+
+
+def test_simulate_csv_matches_golden(tmp_path):
+    out = tmp_path / "sim.csv"
+    code = cli.main(["simulate", "--input", TWO_STATE, "--horizon", "40",
+                     "--samples", "500", "--seed", "11", "--output", str(out)])
+    assert code == cli.ExitCode.OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_CSV

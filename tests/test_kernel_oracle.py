@@ -1,0 +1,94 @@
+"""Differential test: every stepping path against the per-point reference.
+
+The library steps a batch with one firing test per coupled pair; the
+reference in ``conftest.reference_step`` tests every special point on its
+own.  They must agree exactly on random machines (including points of one
+pair that share a value on one clock), on compiled 2-state models, and on
+compiled 3-state chains from the compiler's shared-period path.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ontosim import fastslow, quantize
+
+from conftest import make_rng, random_model, reference_step
+
+HORIZON = 30
+SAMPLES = 300
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+def reference_counts(model, slow: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    counts = [np.bincount(slow, minlength=model.slow_count)]
+    for _ in range(HORIZON):
+        slow, phases = reference_step(model, slow, phases)
+        counts.append(np.bincount(slow, minlength=model.slow_count))
+    return np.array(counts)
+
+
+def check_against_reference(model: fastslow.OntologicalModel, seed: int) -> None:
+    n, p_total = model.slow_count, model.phase_space_size
+    rows = fastslow._all_phase_rows(model)
+
+    slow, phases = reference_step(model, np.repeat(np.arange(n), p_total),
+                                  np.tile(rows, (n, 1)))
+    image = slow * p_total + phases @ fastslow.phase_strides(model.periods)
+    assert np.array_equal(fastslow.step_map(model).image, image)
+
+    rng = make_rng(seed)
+    for flat in rng.integers(model.ontic_space_size, size=5):
+        out = fastslow.step(model, fastslow.unflatten_config(model, flat))
+        assert fastslow.flat_config(model, out.slow, out.phases) == image[flat]
+
+    initial = seed % n
+    exact = fastslow.enumerate_exact(model, initial, HORIZON)
+    assert np.array_equal(exact.counts,
+                          reference_counts(model, np.full(p_total, initial), rows))
+
+    phases = fastslow.random_phases(model, SAMPLES, fastslow.phase_rng(seed))
+    expected = reference_counts(model, np.full(SAMPLES, initial), phases) / SAMPLES
+    assert np.array_equal(fastslow.run_ensemble(model, initial, HORIZON, SAMPLES, seed),
+                          expected)
+
+
+def test_hand_built_shared_values():
+    # (0, 1) points share value 2 on clock 0, (1, 2) points share 1 on clock 2
+    points = [((0, 1), (2, 3)), ((0, 1), (2, 5)), ((1, 2), (4, 1)), ((1, 2), (0, 1)),
+              ((0, 2), (5, 6))]
+    model = fastslow.OntologicalModel(
+        slow_count=3, periods=(7, 6, 8),
+        special_points=tuple(fastslow.SpecialPoint(pair=p, trigger=t) for p, t in points))
+    for seed in range(3):
+        check_against_reference(model, seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(SEEDS)
+@example(2020)  # (1, 3) points share value 0 on clock 3
+def test_random_models(seed):
+    model = random_model(make_rng(seed), min_slow=2, min_points=2, max_points=6)
+    check_against_reference(model, seed)
+
+
+@settings(max_examples=15, deadline=None)
+@given(SEEDS)
+def test_compiled_two_state(seed):
+    mag = float(np.exp(make_rng(seed).uniform(np.log(1e-2), np.log(0.3))))
+    target = np.array([[0.0, -1j * mag], [1j * mag, 0.0]])
+    model = quantize.compile_target(target, 2e-3, 24)
+    assert model.special_points
+    check_against_reference(model, seed)
+
+
+@settings(max_examples=10, deadline=None)
+@given(SEEDS)
+def test_compiled_three_state_chain(seed):
+    m01, m12 = make_rng(seed).uniform(0.02, 0.25, size=2)
+    target = np.zeros((3, 3), dtype=complex)
+    target[0, 1], target[1, 2] = -1j * m01, -1j * m12
+    target -= target.T
+    model = quantize.compile_target(target, 1e-2, 12)
+    assert {sp.pair for sp in model.special_points} == {(0, 1), (1, 2)}
+    check_against_reference(model, seed)

@@ -41,14 +41,6 @@ def exact_projection_table(model) -> dict:
     return {pair: Fraction(n, p_total) for pair, n in counts.items()}
 
 
-class TestHilbertIndex:
-    def test_flat_encoding(self):
-        m = fastslow.OntologicalModel(slow_count=2, periods=(3, 4))
-        hi = quantize.hilbert_index(m, 1, (2, 3))
-        assert hi.flat == 1 * 12 + 2 * 4 + 3
-        assert quantize.hilbert_index_from_flat(m, hi.flat) == hi
-
-
 class TestHamiltonians:
     def test_clock_exponential_is_the_tick(self):
         for period in (1, 2, 5, 12):
