@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import IO, Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 CLASSICAL_BOUND = 2.0
 QUANTUM_MAX = 2.0 * math.sqrt(2.0)
@@ -42,6 +41,11 @@ STANDARD_SETTINGS = (0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)
 
 class NonNormalizedDensityError(ValueError):
     """The hidden-variable density does not integrate to one."""
+
+
+class QuadratureError(ValueError):
+    """No estimate within tolerance in 200 panels: a non-finite integrand, or
+    a jump or oscillation the declared kinks do not resolve."""
 
 
 def normalize_angle(x):
@@ -62,6 +66,43 @@ def quantum_correlation(a, b):
     return np.cos(2.0 * (np.asarray(a) - np.asarray(b)))
 
 
+_NODES_24, _WEIGHTS_24 = np.polynomial.legendre.leggauss(24)
+_NODES_48, _WEIGHTS_48 = np.polynomial.legendre.leggauss(48)
+_NODES = np.concatenate([_NODES_24, _NODES_48])
+
+
+def _zeros(phase: float, spacing: float, end: float = math.pi) -> np.ndarray:
+    """The points of the progression ``phase + k * spacing`` that lie in [0, end)."""
+    points = np.remainder(phase, spacing) + spacing * np.arange(math.ceil(end / spacing))
+    return points[points < end]
+
+
+def _integrate(f: Callable, kinks: Sequence[float], end: float = math.pi) -> float:
+    """Integral of ``f`` over [0, end) by adaptive Gauss-Legendre panels.
+
+    [0, end) is cut into 4 equal panels and at the kinks inside it.  Each
+    round calls ``f`` once on the 24- and 48-node points of all open panels;
+    a panel whose two sums differ by more than 1e-9 * width / end, or are not
+    finite, is bisected; the others count at their 48-node sum.  Raises
+    QuadratureError once the partition would pass 200 panels.
+    """
+    edges = np.unique(np.r_[np.linspace(0.0, end, 5), np.clip(kinks, 0.0, end)])
+    lo, hi = edges[:-1], edges[1:]
+    total, done = 0.0, 0
+    while lo.size:
+        if done + lo.size > 200:
+            raise QuadratureError("integral not resolved to 1e-9 within 200 panels")
+        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+        y = np.broadcast_to(f(mid[:, None] + half[:, None] * _NODES), (lo.size, _NODES.size))
+        coarse = half * (y[:, :24] @ _WEIGHTS_24)
+        fine = half * (y[:, 24:] @ _WEIGHTS_48)
+        split = ~(np.abs(fine - coarse) <= 1e-9 * (hi - lo) / end)
+        total += fine[~split].sum()
+        done += lo.size - int(split.sum())
+        lo, hi = np.r_[lo[split], mid[split]], np.r_[mid[split], hi[split]]
+    return float(total)
+
+
 # ---------------------------------------------------------------------------
 # factorized hidden-variable models
 
@@ -70,9 +111,11 @@ class FactorizedModel:
     """Independent-response hidden-variable model.
 
     ``density(lam)`` must integrate to 1 over [0, pi); the responses map
-    (setting, lam) to detection probabilities in [0, 1].  ``kinks`` may list
-    discontinuities of the responses for a given setting so quadrature can
-    split there.
+    (setting, lam) to detection probabilities in [0, 1].  All three act
+    elementwise on an array ``lam`` of any shape.  Every discontinuity of the
+    responses at a setting must be listed in ``kinks(setting)``: quadrature
+    splits its panels there, and an undeclared jump is not guaranteed to
+    reach the 1e-9 tolerance (it can slip past the error estimate).
     """
 
     density: Callable[[np.ndarray], np.ndarray]
@@ -81,37 +124,28 @@ class FactorizedModel:
     kinks: Callable[[float], Sequence[float]] | None = None
 
 
-def _quad(f, points, epsabs):
-    pts = sorted({float(p) for p in points if 0.0 < p < math.pi})
-    val, _ = integrate.quad(f, 0.0, math.pi, points=pts or None,
-                            limit=200, epsabs=epsabs, epsrel=1e-10)
-    return val
-
-
-def detection_probability(model: FactorizedModel, a: float, b: float,
-                          epsabs: float = 1e-9) -> float:
+def detection_probability(model: FactorizedModel, a: float, b: float) -> float:
     """Joint detection probability: the density-weighted product of responses."""
-    pts = list(model.kinks(a)) + list(model.kinks(b)) if model.kinks else []
-    return _quad(lambda lam: model.density(lam) * model.p_alice(a, lam) * model.p_bob(b, lam),
-                 pts, epsabs)
+    kinks = np.concatenate([model.kinks(a), model.kinks(b)]) if model.kinks else ()
+    return _integrate(
+        lambda lam: model.density(lam) * model.p_alice(a, lam) * model.p_bob(b, lam), kinks)
 
 
-def factorized_correlation(model: FactorizedModel, a: float, b: float,
-                           epsabs: float = 1e-9) -> float:
+def factorized_correlation(model: FactorizedModel, a: float, b: float) -> float:
     """Correlation of a factorized model via the four complementary settings.
 
     E = P(a,b) + P(a~,b~) - P(a,b~) - P(a~,b) where x~ is the 90-degree
     rotated setting.  Raises if the density is not normalized (checked by the
     same quadrature at 1e-8).
     """
-    norm = _quad(model.density, [], epsabs)
+    norm = _integrate(model.density, ())
     if abs(norm - 1.0) > 1e-8:
         raise NonNormalizedDensityError(f"density integrates to {norm!r}, not 1")
     ac, bc = float(complementary(a)), float(complementary(b))
-    return (detection_probability(model, a, b, epsabs)
-            + detection_probability(model, ac, bc, epsabs)
-            - detection_probability(model, a, bc, epsabs)
-            - detection_probability(model, ac, b, epsabs))
+    return (detection_probability(model, a, b)
+            + detection_probability(model, ac, bc)
+            - detection_probability(model, a, bc)
+            - detection_probability(model, ac, b))
 
 
 def uniform_density(lam):
@@ -127,11 +161,8 @@ def malus_deterministic_model() -> FactorizedModel:
     def response(setting, lam):
         return (np.cos(2.0 * (np.asarray(lam) - setting)) > 0).astype(float)
 
-    def kinks(setting):
-        return [(setting + math.pi / 4 + k * math.pi / 2) % math.pi for k in range(2)]
-
-    return FactorizedModel(density=uniform_density, p_alice=response,
-                           p_bob=response, kinks=kinks)
+    return FactorizedModel(density=uniform_density, p_alice=response, p_bob=response,
+                           kinks=lambda setting: _zeros(setting + math.pi / 4, math.pi / 2))
 
 
 def sawtooth_correlation(a, b):
@@ -181,7 +212,7 @@ def chsh_report(result: ChshResult) -> dict:
         "correlations": list(result.correlations),
         "S": result.score,
         "bound": CLASSICAL_BOUND,
-        "quantum_max": 2.8284271,
+        "quantum_max": QUANTUM_MAX,
         "violates_classical_bound": result.violates_classical_bound,
     }
 
@@ -207,42 +238,31 @@ def conditional_density(lam, a, b):
     return NORMALIZATION * np.abs(np.sin(2.0 * (a + b - 2.0 * np.asarray(lam))))
 
 
-def _sine_zeros(coeff: float, const: float) -> list[float]:
-    """Zeros of sin(coeff*x + const) inside (0, pi)."""
-    ks = range(math.floor(const / math.pi - abs(coeff)) - 1,
-               math.ceil(const / math.pi + abs(coeff)) + 2)
-    zeros = [(k * math.pi - const) / coeff for k in ks]
-    return [z for z in zeros if 0.0 < z < math.pi]
-
-
-def _density_kinks(a: float, b: float) -> list[float]:
-    return _sine_zeros(-4.0, 2.0 * (a + b))
-
-
-def _outcome_kinks(setting: float) -> list[float]:
-    return [(setting + math.pi / 4 + k * math.pi / 2) % math.pi for k in range(2)]
-
-
-def correlated_expectation(a: float, b: float, epsabs: float = 1e-9,
-                           density: Callable | None = None,
-                           density_kinks: Callable | None = None) -> float:
+def correlated_expectation(a: float, b: float) -> float:
     """E(a, b) of the correlated three-variable model by kink-aware quadrature.
 
-    With the shipped density this must equal cos 2(a - b) to quadrature
-    accuracy (the module docstring carries the closed-form reduction).  A
-    different joint density can be plugged in through ``density(lam, a, b)``
-    together with its kink locations.
+    This must equal cos 2(a - b) to quadrature accuracy (the module docstring
+    carries the closed-form reduction).
     """
-    dens = density if density is not None else conditional_density
-    kinks = (density_kinks(a, b) if density_kinks is not None else
-             _density_kinks(a, b) if density is None else [])
-    pts = list(kinks) + _outcome_kinks(a) + _outcome_kinks(b)
-    return _quad(
-        lambda lam: dens(lam, a, b) * outcome_sign(a, lam) * outcome_sign(b, lam),
-        pts, epsabs)
+    kinks = np.concatenate([_zeros((a + b) / 2.0, math.pi / 4),
+                            _zeros(a + math.pi / 4, math.pi / 2),
+                            _zeros(b + math.pi / 4, math.pi / 2)])
+    return _integrate(
+        lambda lam: conditional_density(lam, a, b) * outcome_sign(a, lam) * outcome_sign(b, lam),
+        kinks)
 
 
-def marginal_flatness(which: str, grid_size: int = 17, epsabs: float = 1e-9) -> float:
+def _marginal(which: str, u: float, v: float) -> float:
+    """The joint density integrated over ``which`` at fixed values of the other two:
+    the settings (u, v), or the other setting u and lambda v."""
+    if which == "lambda":
+        return _integrate(lambda lam: conditional_density(lam, u, v),
+                          _zeros((u + v) / 2.0, math.pi / 4))
+    # the density is symmetric in the settings, so "a" and "b" share one integrand
+    return _integrate(lambda x: conditional_density(v, x, u), _zeros(2.0 * v - u, math.pi / 2))
+
+
+def marginal_flatness(which: str, grid_size: int = 17) -> float:
     """Integrate the joint density over one variable on a grid of the others.
 
     Returns the maximum deviation from the constant 1 (the value every
@@ -252,21 +272,7 @@ def marginal_flatness(which: str, grid_size: int = 17, epsabs: float = 1e-9) -> 
     if which not in ("lambda", "a", "b"):
         raise ValueError("which must be one of 'lambda', 'a', 'b'")
     grid = np.linspace(0.0, math.pi, grid_size, endpoint=False)
-    worst = 0.0
-    for u in grid:
-        for v in grid:
-            if which == "lambda":
-                f = lambda lam: conditional_density(lam, u, v)
-                pts = _density_kinks(u, v)
-            elif which == "a":
-                # integrand in the first setting at fixed (b, lambda) = (u, v)
-                f = lambda x: conditional_density(v, x, u)
-                pts = _sine_zeros(2.0, 2.0 * u - 4.0 * v)
-            else:
-                f = lambda x: conditional_density(v, u, x)
-                pts = _sine_zeros(2.0, 2.0 * u - 4.0 * v)
-            worst = max(worst, abs(_quad(f, pts, epsabs) - 1.0))
-    return worst
+    return max((abs(_marginal(which, u, v) - 1.0) for u in grid for v in grid), default=0.0)
 
 
 def normalization_constant(domain_end: float = math.pi, a: float = 0.3, b: float = 1.1) -> float:
@@ -276,12 +282,7 @@ def normalization_constant(domain_end: float = math.pi, a: float = 0.3, b: float
     which the default off-grid settings let a test confirm.
     """
     raw = lambda lam: np.abs(np.sin(2.0 * (a + b - 2.0 * lam)))
-    pts = [z for z in (_sine_zeros(-4.0, 2.0 * (a + b)) +
-                       [z + math.pi for z in _sine_zeros(-4.0, 2.0 * (a + b))])
-           if 0.0 < z < domain_end]
-    val, _ = integrate.quad(raw, 0.0, domain_end, points=pts or None,
-                            limit=200, epsabs=1e-12, epsrel=1e-10)
-    return 1.0 / val
+    return 1.0 / _integrate(raw, _zeros((a + b) / 2.0, math.pi / 4, domain_end), domain_end)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +363,7 @@ def mc_chsh(a: float, a_prime: float, b: float, b_prime: float,
 # ---------------------------------------------------------------------------
 # reports
 
-def write_correlation_grid_csv(grid_size: int, stream: IO[str], epsabs: float = 1e-9) -> None:
+def write_correlation_grid_csv(grid_size: int, stream: IO[str]) -> None:
     """Rows ``a_deg, b_deg, E_quant, E_correlated, abs_err`` over a uniform grid."""
     writer = csv.writer(stream)
     writer.writerow(["a_deg", "b_deg", "E_quant", "E_correlated", "abs_err"])
@@ -370,7 +371,7 @@ def write_correlation_grid_csv(grid_size: int, stream: IO[str], epsabs: float = 
     for a in grid:
         for b in grid:
             eq = float(quantum_correlation(a, b))
-            ec = correlated_expectation(a, b, epsabs=epsabs)
+            ec = correlated_expectation(a, b)
             writer.writerow([repr(math.degrees(a)), repr(math.degrees(b)),
                              repr(eq), repr(ec), repr(abs(ec - eq))])
 

@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from contextlib import contextmanager
 from enum import IntEnum
 from pathlib import Path
@@ -62,7 +63,12 @@ def _load_law_or_model(path: str):
     if "image" in doc:
         return "law", ontodyn.law_from_json(text)
     if "slow_count" in doc:
-        return "model", fastslow.model_from_json(text)
+        # report a marginal clock period against the input file, not library code
+        with warnings.catch_warnings(record=True) as caught:
+            model = fastslow.model_from_json(text)
+        for warning in caught:
+            print(f"ontosim: warning: {path}: {warning.message}", file=sys.stderr)
+        return "model", model
     raise ValueError("input is neither a permutation ('image') nor a model ('slow_count')")
 
 
@@ -82,9 +88,12 @@ def _require(value, name: str):
 
 
 def _parse_settings(text: str) -> tuple[float, float, float, float]:
-    parts = [float(v) for v in str(text).split(",")]
-    if len(parts) != 4:
-        raise UsageError("--settings needs four comma-separated degrees: a,a',b,b'")
+    try:
+        parts = [float(v) for v in str(text).split(",")]
+    except ValueError:
+        parts = []
+    if len(parts) != 4 or not all(math.isfinite(v) for v in parts):
+        raise UsageError(f"--settings needs four finite degrees a,a',b,b', not {text!r}")
     return tuple(math.radians(v) for v in parts)  # type: ignore[return-value]
 
 
@@ -202,14 +211,18 @@ def _cmd_compare(args, config) -> int:
 
 def _cmd_bell(args, config) -> int:
     out_dir = Path(_require(_opt(args, config, "output"), "output"))
-    out_dir.mkdir(parents=True, exist_ok=True)
     grid = int(_opt(args, config, "grid", 64))
     samples = int(_opt(args, config, "samples", 100_000))
+    if grid < 1:
+        raise UsageError(f"--grid must be at least 1, not {grid}")
+    if samples < 0:
+        raise UsageError(f"--samples must not be negative, not {samples}")
     seed = _require(_opt(args, config, "seed"), "seed")
     settings = _opt(args, config, "settings")
     settings = (_parse_settings(settings) if settings is not None
                 else bellkit.STANDARD_SETTINGS)
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "grid.csv", "w", encoding="utf-8", newline="") as fh:
         bellkit.write_correlation_grid_csv(grid, fh)
 
@@ -275,6 +288,9 @@ def main(argv=None) -> int:
                 config = json.load(fh)
             if not isinstance(config, dict):
                 raise UsageError("config file must hold a JSON object")
+        seed = _opt(args, config, "seed")
+        if seed is not None and int(seed) < 0:
+            raise UsageError(f"--seed must not be negative, not {seed}")
         return int(args.handler(args, config))
     except FileNotFoundError as exc:
         print(f"ontosim: file not found: {exc.filename}", file=sys.stderr)

@@ -1,4 +1,7 @@
+import math
+
 import numpy as np
+from scipy import integrate
 
 from ontosim import fastslow
 
@@ -105,3 +108,12 @@ def random_factorized_model(rng: np.random.Generator):
 
     return bellkit.FactorizedModel(density=rho_extra, p_alice=make_response(),
                                    p_bob=make_response())
+
+
+def reference_quad(f, points, end: float = math.pi) -> float:
+    """Oracle for bellkit's panel quadrature: scipy's adaptive ``quad`` over
+    [0, end) with the kink ``points`` as breakpoints."""
+    pts = sorted({float(p) for p in points if 0.0 < p < end})
+    val, _ = integrate.quad(f, 0.0, end, points=pts or None,
+                            limit=200, epsabs=1e-12, epsrel=1e-12)
+    return val

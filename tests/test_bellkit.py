@@ -101,7 +101,7 @@ class TestChsh:
             bellkit.chsh_score(bellkit.quantum_correlation, *bellkit.STANDARD_SETTINGS))
         assert rep["settings_deg"] == pytest.approx([0.0, 45.0, 22.5, 67.5])
         assert rep["bound"] == 2.0
-        assert rep["quantum_max"] == 2.8284271
+        assert rep["quantum_max"] == bellkit.QUANTUM_MAX
 
 
 class TestCorrelatedExpectation:

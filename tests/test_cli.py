@@ -195,6 +195,64 @@ class TestBell:
         assert chsh["settings_deg"] == pytest.approx([0.0, 45.0, 22.5, 67.5])
 
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--settings", "x,45,22.5,67.5"),
+        ("--settings", "inf,45,22.5,67.5"),
+        ("--settings", "nan,45,22.5,67.5"),
+        ("--settings", "0,45,22.5"),
+        ("--grid", "-3"),
+        ("--grid", "0"),
+        ("--samples", "-1"),
+    ])
+    def test_bad_option_is_usage_error(self, capsys, tmp_path, flag, value):
+        options = {"--grid": "2", "--samples": "0", "--seed": "1", flag: value}
+        argv = [item for pair in options.items() for item in pair]
+        out_dir = tmp_path / "bell"
+        code, _, err = run(capsys, "bell", "--output", str(out_dir), *argv)
+        assert code == ExitCode.USAGE
+        assert flag in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+
+class TestSeed:
+    @pytest.mark.parametrize("command", [
+        "cycles", "spectrum", "simulate", "compile", "compare", "bell"])
+    def test_negative_seed_is_usage_error(self, capsys, tmp_path, command):
+        target = tmp_path / "target.json"
+        target.write_text('{"size": 2, "couplings": []}')
+        argv = {
+            "cycles": ["--input", FIGURE1],
+            "spectrum": ["--input", FIGURE1],
+            "simulate": ["--input", TWO_STATE, "--horizon", "3", "--samples", "5"],
+            "compile": ["--input", str(target), "--tolerance", "1e-6",
+                        "--output", str(tmp_path / "out"), "--horizon", "3"],
+            "compare": ["--input", TWO_STATE, "--horizon", "3", "--samples", "5"],
+            "bell": ["--output", str(tmp_path / "out"), "--grid", "2"],
+        }[command]
+        code, _, err = run(capsys, command, *argv, "--seed", "-1")
+        assert code == ExitCode.USAGE
+        assert "--seed" in err
+
+    def test_negative_seed_from_config(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"seed": -2}')
+        code, _, err = run(capsys, "simulate", "--config", str(config), "--input", TWO_STATE,
+                           "--horizon", "3", "--samples", "5")
+        assert code == ExitCode.USAGE
+        assert "--seed" in err
+
+
+class TestDiagnostics:
+    @pytest.mark.filterwarnings("default::ontosim.fastslow.FastPeriodWarning")
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_fast_period_warning_names_input(self, capsys, command):
+        code, _, err = run(capsys, command, "--input", TWO_STATE, "--horizon", "2",
+                           "--samples", "5", "--seed", "1")
+        assert code == ExitCode.OK
+        assert f"ontosim: warning: {TWO_STATE}: clock periods [7] are below 10" in err
+        assert "fastslow.py" not in err
+
+
 class TestConfigPrecedence:
     def test_flags_override_config(self, capsys, tmp_path):
         config = tmp_path / "cfg.json"
