@@ -81,6 +81,18 @@ def _opt(args, config: dict, key: str, default=None):
     return default
 
 
+def _count(args, config: dict, key: str, least: int, default=None) -> int | None:
+    """An integer option, refused with a usage error if not an integer or below ``least``."""
+    value = _opt(args, config, key, default)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"--{key} must be an integer, not {value!r}")
+    if value < least:
+        raise UsageError(f"--{key} must be at least {least}, not {value}")
+    return value
+
+
 def _require(value, name: str):
     if value is None:
         raise UsageError(f"missing required option --{name}")
@@ -127,12 +139,12 @@ def _cmd_spectrum(args, config) -> int:
 
 
 def _cmd_simulate(args, config) -> int:
+    horizon = _require(_count(args, config, "horizon", 0), "horizon")
+    samples = _require(_count(args, config, "samples", 1), "samples")
+    seed = _require(_opt(args, config, "seed"), "seed")
     kind, model = _load_law_or_model(_require(_opt(args, config, "input"), "input"))
     if kind != "model":
         raise UsageError("simulate needs a model file, not a permutation")
-    horizon = int(_require(_opt(args, config, "horizon"), "horizon"))
-    samples = int(_require(_opt(args, config, "samples"), "samples"))
-    seed = _require(_opt(args, config, "seed"), "seed")
     initial = int(_opt(args, config, "initial", 0))
     freq = fastslow.run_ensemble(model, initial, horizon, samples, int(seed))
     with _out_stream(_opt(args, config, "output")) as fh:
@@ -167,6 +179,7 @@ def _compile_report(model, target, tolerance: float, max_period: int) -> dict:
 
 
 def _cmd_compile(args, config) -> int:
+    samples = _count(args, config, "samples", 0, 0)
     target = quantize.load_target(_require(_opt(args, config, "input"), "input"))
     tolerance = float(_require(_opt(args, config, "tolerance"), "tolerance"))
     max_period = int(_opt(args, config, "max-period", 200))
@@ -178,11 +191,10 @@ def _cmd_compile(args, config) -> int:
     report = _compile_report(model, target, tolerance, max_period)
     (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
-    horizon = _opt(args, config, "horizon")
+    horizon = _count(args, config, "horizon", 0)
     if horizon is not None:
         comparison = quantize.compare_dynamics(
-            model, int(_opt(args, config, "initial", 0)), int(horizon),
-            sample_count=int(_opt(args, config, "samples", 0)),
+            model, int(_opt(args, config, "initial", 0)), horizon, sample_count=samples,
             seed=int(_opt(args, config, "seed", 0)))
         with open(out_dir / "comparison.csv", "w", encoding="utf-8", newline="") as fh:
             quantize.write_comparison_csv(comparison, fh)
@@ -193,13 +205,13 @@ def _cmd_compile(args, config) -> int:
 
 
 def _cmd_compare(args, config) -> int:
+    horizon = _require(_count(args, config, "horizon", 0), "horizon")
+    samples = _count(args, config, "samples", 0, 0)
     kind, model = _load_law_or_model(_require(_opt(args, config, "input"), "input"))
     if kind != "model":
         raise UsageError("compare needs a model file, not a permutation")
-    horizon = int(_require(_opt(args, config, "horizon"), "horizon"))
     comparison = quantize.compare_dynamics(
-        model, int(_opt(args, config, "initial", 0)), horizon,
-        sample_count=int(_opt(args, config, "samples", 0)),
+        model, int(_opt(args, config, "initial", 0)), horizon, sample_count=samples,
         seed=int(_opt(args, config, "seed", 0)))
     with _out_stream(_opt(args, config, "output")) as fh:
         quantize.write_comparison_csv(comparison, fh)
@@ -211,12 +223,8 @@ def _cmd_compare(args, config) -> int:
 
 def _cmd_bell(args, config) -> int:
     out_dir = Path(_require(_opt(args, config, "output"), "output"))
-    grid = int(_opt(args, config, "grid", 64))
-    samples = int(_opt(args, config, "samples", 100_000))
-    if grid < 1:
-        raise UsageError(f"--grid must be at least 1, not {grid}")
-    if samples < 0:
-        raise UsageError(f"--samples must not be negative, not {samples}")
+    grid = _count(args, config, "grid", 1, 64)
+    samples = _count(args, config, "samples", 0, 100_000)
     seed = _require(_opt(args, config, "seed"), "seed")
     settings = _opt(args, config, "settings")
     settings = (_parse_settings(settings) if settings is not None
@@ -288,9 +296,8 @@ def main(argv=None) -> int:
                 config = json.load(fh)
             if not isinstance(config, dict):
                 raise UsageError("config file must hold a JSON object")
-        seed = _opt(args, config, "seed")
-        if seed is not None and int(seed) < 0:
-            raise UsageError(f"--seed must not be negative, not {seed}")
+        _count(args, config, "seed", 0)
+        _count(args, config, "horizon", 0)
         return int(args.handler(args, config))
     except FileNotFoundError as exc:
         print(f"ontosim: file not found: {exc.filename}", file=sys.stderr)

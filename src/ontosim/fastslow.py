@@ -14,10 +14,16 @@ point whose trigger matches the new phases fires.  The conflict rule lives
 in one place, :func:`_validate_model`, which every model passes at
 construction: no two points on different pairs may claim the same value on
 the clock of a shared slow state.  So the firing set is always a product of
-disjoint transpositions, and every stepping path (:func:`step`,
-:func:`run_ensemble`, :func:`enumerate_exact`, :func:`step_tables`) applies
-it with one firing test per coupled pair, at a cost that grows with the
-number of coupled pairs, not with the number of special points.
+disjoint transpositions.
+
+Two stepping paths share that rule.  The per-step kernel
+(:func:`_tick_and_fire`, behind :func:`step` and :func:`step_tables`) ticks
+every clock and applies one firing test per coupled pair.  Occupation counts
+(:func:`run_ensemble`, :func:`enumerate_exact`) never tick: the clocks are
+deterministic, so each sample jumps straight to its next state change, found
+on the diagonal orbits of each coupled pair's clocks
+(:func:`_orbit_position`), and the counts are summed from those changes.
+Their cost grows with the number of state changes, not with the horizon.
 
 Clock periods are meant to be large compared with the inverse couplings of
 interest; that is a soft convention, so the builder only warns (never
@@ -28,6 +34,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from typing import IO, NamedTuple
@@ -274,7 +281,10 @@ def step_tables(model: OntologicalModel) -> tuple[np.ndarray, np.ndarray]:
         raise ontodyn.SizeCapError(
             f"ontic space {model.ontic_space_size} exceeds enumeration cap {ENUMERATION_CAP}")
     table = _firing_table(model)
-    rotated = (_all_phase_rows(model) + 1) % table.periods
+    # in place here and in step_map: large proofs keep fewer multi-MiB temporaries
+    rotated = _all_phase_rows(model)
+    rotated += 1
+    np.remainder(rotated, table.periods, out=rotated)
     rotated_flat = rotated @ phase_strides(model.periods)
     slow_image = np.tile(np.arange(model.slow_count, dtype=np.int64), (rotated.shape[0], 1))
     for a, b, fired in _fired(table, rotated):
@@ -286,7 +296,8 @@ def step_tables(model: OntologicalModel) -> tuple[np.ndarray, np.ndarray]:
 def step_map(model: OntologicalModel) -> ontodyn.PermutationLaw:
     """The step as a permutation of the flat ontic space."""
     rotated_flat, slow_image = step_tables(model)
-    image = slow_image.T * model.phase_space_size + rotated_flat[None, :]
+    image = np.multiply(slow_image.T, model.phase_space_size, order="C")
+    image += rotated_flat
     return ontodyn.PermutationLaw(image.reshape(-1))
 
 
@@ -323,6 +334,11 @@ def run_ensemble(model: OntologicalModel, initial_slow: int, horizon: int,
     partitioned run may derive per-worker Philox streams from
     (seed, worker index) and must then reproduce the serial result for a
     fixed partition policy.
+
+    Samples jump from one state change to the next (:func:`_occupation_counts`):
+    the work is O((samples + state changes) * log K) for K special points,
+    whatever the horizon, and memory is O(samples * coupled pairs) besides
+    the (horizon+1, N) result.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
@@ -338,21 +354,82 @@ def _check_run(model: OntologicalModel, initial_slow: int, horizon: int) -> None
         raise ConfigError(f"unknown slow state {initial_slow}")
 
 
+def _orbit_position(period_a: int, period_b: int, x: np.ndarray,
+                    y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit and position of the joint phases (x, y) of a coupled pair.
+
+    With g = gcd(P_a, P_b) and L = lcm(P_a, P_b), (x, y) lies on the
+    diagonal orbit d = (x - y) mod g at the position tau in [0, L) with
+    tau = x (mod P_a) and tau = y + d (mod P_b), found by the CRT.  A tick
+    keeps d and adds 1 to tau mod L.  Returns ``(d*2L, tau)``.
+    """
+    g = math.gcd(period_a, period_b)
+    d = (x - y) % g
+    k = (y + d - x) // g * pow(period_a // g, -1, period_b // g) % (period_b // g)
+    return d * (2 * math.lcm(period_a, period_b)), x + period_a * k
+
+
 def _occupation_counts(model: OntologicalModel, initial_slow: int, horizon: int,
                        phases: np.ndarray) -> np.ndarray:
     """Row t counts the samples in each slow state after t steps.
 
-    Every sample starts in ``initial_slow`` with its row of ``phases``, which
-    the stepping kernel advances in place.
+    Every sample starts in ``initial_slow`` with its row of ``phases``.  Each
+    round finds, for every sample still live, the first step after its last
+    state change at which a pair touching its current state fires (one
+    ``searchsorted`` per touching pair on the pair's orbit keys), and jumps
+    it there.  A valid model never fires two pairs that share a slow state
+    in one step, so that first firing is unique.  A sample with no change
+    left before ``horizon`` drops out.  Each change adds +1 at (step, new
+    state) and -1 at (step, old state) of a difference table, whose running
+    sum is the counts.  There are as many rounds as the most changes any
+    sample makes, each holds one pending change per live sample, and the
+    per-step kernel is never run.
     """
-    table = _firing_table(model)
-    slow = np.full(phases.shape[0], initial_slow, dtype=np.int64)
-    counts = np.empty((horizon + 1, model.slow_count), dtype=np.int64)
-    counts[0] = np.bincount(slow, minlength=model.slow_count)
-    for t in range(1, horizon + 1):
-        _tick_and_fire(table, slow, phases)
-        counts[t] = np.bincount(slow, minlength=model.slow_count)
-    return counts
+    n = model.slow_count
+    never = horizon + 1
+    triggers: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for sp in model.special_points:
+        triggers.setdefault(sp.pair, []).append(sp.trigger)
+    pairs = []
+    for (a, b), trig in triggers.items():
+        pa, pb = model.periods[a], model.periods[b]
+        lcm = math.lcm(pa, pb)
+        # Every point's key d*2L + tau and that key plus L, then a sentinel:
+        # the first entry above a row's key is its next firing on this pair,
+        # at most L ticks ahead, or more than L ahead if no point shares its orbit.
+        points = np.array(trig, dtype=np.int64)
+        keys = np.add(*_orbit_position(pa, pb, points[:, 0], points[:, 1]))
+        keys = np.sort(np.concatenate([keys, keys + lcm, [np.iinfo(np.int64).max]]))
+        base, tau = _orbit_position(pa, pb, phases[:, a], phases[:, b])
+        touches = np.zeros(n, dtype=bool)
+        touches[[a, b]] = True
+        partner = np.arange(n)
+        partner[[a, b]] = b, a
+        pairs.append((lcm, keys, base, tau, touches, partner))
+
+    changes = np.zeros((never, n), dtype=np.int64)
+    changes[0, initial_slow] = phases.shape[0]
+    flat = changes.reshape(-1)
+    row = np.arange(phases.shape[0])        # live samples,
+    slow = np.full(row.size, initial_slow)  # their slow states
+    last = np.zeros(row.size, dtype=np.int64)  # and the steps of their last change
+    while row.size:
+        when = np.full(row.size, never)
+        to = slow.copy()
+        for lcm, keys, base, tau, touches, partner in pairs:
+            i = np.flatnonzero(touches[slow])
+            r, t = row[i], last[i]
+            key = base[r] + (tau[r] + t) % lcm
+            gap = keys[np.searchsorted(keys, key, side="right")] - key
+            sooner = (gap <= lcm) & (t + gap < when[i])
+            i = i[sooner]
+            when[i] = t[sooner] + gap[sooner]
+            to[i] = partner[slow[i]]
+        i = np.flatnonzero(when < never)
+        np.add.at(flat, when[i] * n + to[i], 1)
+        np.add.at(flat, when[i] * n + slow[i], -1)
+        row, slow, last = row[i], to[i], when[i]
+    return np.cumsum(changes, axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,14 +450,19 @@ class ExactOccupation:
 
 
 def enumerate_exact(model: OntologicalModel, initial_slow: int, horizon: int) -> ExactOccupation:
-    """Brute-force oracle for :func:`run_ensemble`: iterate every initial phase."""
+    """Exact oracle for :func:`run_ensemble`: count over every initial phase.
+
+    Same event-driven count as :func:`run_ensemble`, over all
+    ``phase_space_size`` rows: O((rows + state changes) * log K) work and
+    O(rows * coupled pairs) memory besides the result, independent of the
+    horizon.  The phase space is capped at :data:`ENUMERATION_CAP` rows.
+    """
     if model.phase_space_size > ENUMERATION_CAP:
         raise ontodyn.SizeCapError(
             f"phase space {model.phase_space_size} exceeds enumeration cap {ENUMERATION_CAP}")
     _check_run(model, initial_slow, horizon)
-    phases = _all_phase_rows(model)
-    counts = _occupation_counts(model, initial_slow, horizon, phases)
-    return ExactOccupation(counts=counts, total=phases.shape[0])
+    counts = _occupation_counts(model, initial_slow, horizon, _all_phase_rows(model))
+    return ExactOccupation(counts=counts, total=model.phase_space_size)
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +472,12 @@ def model_from_json(text: str) -> OntologicalModel:
     """Parse ``{"slow_count": N, "periods": [...], "special_points": [...]}``."""
     doc = json.loads(text)
     try:
-        n = int(doc["slow_count"])
-        periods = tuple(int(p) for p in doc["periods"])
+        n = ontodyn.json_int(doc["slow_count"], "model field 'slow_count'")
+        periods = tuple(ontodyn.json_ints(doc["periods"], "model field 'periods'"))
         raw_points = doc.get("special_points", [])
         points = tuple(
-            SpecialPoint(pair=tuple(entry["pair"]), trigger=tuple(entry["trigger"]))
+            SpecialPoint(pair=ontodyn.json_ints(entry["pair"], "model field 'pair'", 2),
+                         trigger=ontodyn.json_ints(entry["trigger"], "model field 'trigger'", 2))
             for entry in raw_points)
         labels = doc.get("site_labels")
     except (KeyError, TypeError) as exc:

@@ -223,12 +223,31 @@ def spectral_decomposition(law: PermutationLaw) -> SpectralDecomposition:
 # ---------------------------------------------------------------------------
 # serialization
 
+def json_int(value, field: str) -> int:
+    """An integer of an input document, checked, never coerced.
+
+    A JSON float (``10.7``, but also ``10.0``), a boolean or a string is
+    refused with a ``ValueError`` that names ``field``.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, not {value!r}")
+    return value
+
+
+def json_ints(values, field: str, length: int | None = None) -> list[int]:
+    """A list of :func:`json_int` values, of ``length`` entries if given."""
+    if not isinstance(values, list) or (length is not None and len(values) != length):
+        size = "a list" if length is None else f"a list of {length}"
+        raise ValueError(f"{field} must be {size} integers, not {values!r}")
+    return [json_int(v, field) for v in values]
+
+
 def law_from_json(text: str) -> PermutationLaw:
     """Parse ``{"size": M, "image": [...]}``."""
     doc = json.loads(text)
     try:
-        size = int(doc["size"])
-        image = list(doc["image"])
+        size = json_int(doc["size"], "law field 'size'")
+        image = json_ints(doc["image"], "law field 'image'")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"permutation document missing field: {exc}") from exc
     if size != len(image):

@@ -428,6 +428,8 @@ def validate_target(target) -> np.ndarray:
     t = np.asarray(target, dtype=complex)
     if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] < 1:
         raise NotRepresentableError("target must be a square matrix")
+    if not np.all(np.isfinite(t)):
+        raise NotRepresentableError("target has entries that are not finite")
     if np.any(t.diagonal() != 0):
         raise NotRepresentableError("target has nonzero diagonal elements")
     if np.any(t.real != 0):
@@ -441,13 +443,13 @@ def target_from_json(text: str) -> np.ndarray:
     """Parse ``{"size": N, "couplings": [{"pair": [a, b], "imag": v}, ...]}``."""
     doc = json.loads(text)
     try:
-        n = int(doc["size"])
+        n = ontodyn.json_int(doc["size"], "target field 'size'")
         entries = list(doc.get("couplings", []))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"target document missing field: {exc}") from exc
     t = np.zeros((n, n), dtype=complex)
     for entry in entries:
-        a, b = (int(entry["pair"][0]), int(entry["pair"][1]))
+        a, b = ontodyn.json_ints(entry["pair"], "target field 'pair'", 2)
         v = float(entry["imag"])
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"coupling references unknown state: {entry}")
@@ -481,7 +483,9 @@ def _rational_candidates(x: float, max_den: int) -> set[tuple[int, int]]:
     y = x
     for _ in range(64):
         a = math.floor(y)
-        for m in range(1, a + 1):
+        # while k1 == 0 every km is 1; past max_den the loop would only add
+        # useless integers (for k1 >= 1 it breaks before then anyway)
+        for m in range(1, min(a, max_den) + 1):
             km = m * k1 + k2
             if km > max_den:
                 break
@@ -560,8 +564,8 @@ def compile_target(target, tolerance: float, max_period: int) -> fastslow.Ontolo
     passes the builder's conflict scan.
     """
     t = validate_target(target)
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tolerance < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
     n = t.shape[0]
@@ -569,6 +573,11 @@ def compile_target(target, tolerance: float, max_period: int) -> fastslow.Ontolo
     magnitudes = {
         (a, b): abs(float(t[a, b].imag))
         for a in range(n) for b in range(a + 1, n) if t[a, b] != 0}
+    # points <= Pa*Pb, so no machine couples a pair more strongly than pi/2
+    for pair, mag in sorted(magnitudes.items()):
+        if mag > INTERCHANGE_WEIGHT + tolerance:
+            raise UnreachableToleranceError(
+                f"coupling {mag} for pair {pair} exceeds pi/2, the most any machine reaches")
 
     periods = [1] * n
     points: list[fastslow.SpecialPoint] = []

@@ -214,6 +214,100 @@ class TestBell:
         assert not out_dir.exists()
 
 
+class TestCountOptions:
+    @pytest.mark.parametrize("command,flag,value", [
+        ("simulate", "--horizon", "-2"),
+        ("simulate", "--samples", "0"),
+        ("simulate", "--samples", "-1"),
+        ("compare", "--horizon", "-2"),
+        ("compare", "--samples", "-3"),
+        ("compile", "--horizon", "-1"),
+        ("compile", "--samples", "-1"),
+    ])
+    def test_bad_count_is_usage_error(self, capsys, tmp_path, command, flag, value):
+        target = tmp_path / "target.json"
+        target.write_text('{"size": 2, "couplings": []}')
+        options = {
+            "simulate": {"--input": TWO_STATE, "--horizon": "2", "--samples": "5", "--seed": "1"},
+            "compare": {"--input": TWO_STATE, "--horizon": "2"},
+            "compile": {"--input": str(target), "--tolerance": "1e-6",
+                        "--output": str(tmp_path / "out"), "--horizon": "2"},
+        }[command]
+        options[flag] = value
+        argv = [item for pair in options.items() for item in pair]
+        code, out, err = run(capsys, command, *argv)
+        assert code == ExitCode.USAGE
+        assert flag in err and "Traceback" not in err
+        assert out == "" and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,field,value", [
+        ("simulate", "horizon", -2),
+        ("simulate", "horizon", 2.5),
+        ("simulate", "samples", 0),
+        ("compare", "horizon", -2),
+        ("compare", "samples", -3),
+        ("compile", "samples", -1),
+    ])
+    def test_bad_count_from_config(self, capsys, tmp_path, command, field, value):
+        target = tmp_path / "target.json"
+        target.write_text('{"size": 2, "couplings": []}')
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "simulate": {"input": TWO_STATE, "horizon": 2, "samples": 5, "seed": 1},
+            "compare": {"input": TWO_STATE, "horizon": 2},
+            "compile": {"input": str(target), "tolerance": 1e-6,
+                        "output": str(tmp_path / "out"), "horizon": 2},
+        }[command] | {field: value}))
+        code, _, err = run(capsys, command, "--config", str(config))
+        assert code == ExitCode.USAGE
+        assert f"--{field}" in err
+
+
+class TestStrictDocuments:
+    @pytest.mark.parametrize("command,doc,field", [
+        ("simulate", {"slow_count": 2, "periods": [10.7, 7],
+                      "special_points": [{"pair": [0, 1], "trigger": [0, 0]}]}, "periods"),
+        ("simulate", {"slow_count": 2, "periods": [10, 7],
+                      "special_points": [{"pair": [0, 1], "trigger": [1.5, 2]}]}, "trigger"),
+        ("simulate", {"slow_count": 2.0, "periods": [10, 7]}, "slow_count"),
+        ("simulate", {"slow_count": 2, "periods": [10, 7],
+                      "special_points": [{"pair": [0, True], "trigger": [0, 0]}]}, "pair"),
+        ("simulate", {"slow_count": 2, "periods": [10, 7],
+                      "special_points": [{"pair": [0], "trigger": [0, 0]}]}, "pair"),
+        ("cycles", {"size": 3, "image": [0.9, 1.2, 2.7]}, "image"),
+        ("cycles", {"size": 3.0, "image": [0, 1, 2]}, "size"),
+        ("compile", {"size": 2.5, "couplings": []}, "size"),
+        ("compile", {"size": 2, "couplings": [{"pair": [0, 1.0], "imag": 0.1}]}, "pair"),
+    ])
+    def test_non_integer_field_is_parse_error(self, capsys, tmp_path, command, doc, field):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = {
+            "simulate": ["--horizon", "2", "--samples", "5", "--seed", "1"],
+            "cycles": [],
+            "compile": ["--tolerance", "1e-6", "--output", str(tmp_path / "out")],
+        }[command]
+        code, _, err = run(capsys, command, "--input", str(path), *argv)
+        assert code == ExitCode.PARSE_ERROR
+        assert f"'{field}'" in err and "Traceback" not in err
+
+
+class TestCompileGuards:
+    @pytest.mark.parametrize("imag,code,message", [
+        ("1e300", ExitCode.UNREACHABLE_TOLERANCE, "exceeds pi/2"),
+        ('"nan"', ExitCode.NOT_REPRESENTABLE, "not finite"),
+        ('"inf"', ExitCode.NOT_REPRESENTABLE, "not finite"),
+        ("-1e999", ExitCode.NOT_REPRESENTABLE, "not finite"),
+    ])
+    def test_unreachable_or_non_finite_imag(self, capsys, tmp_path, imag, code, message):
+        target = tmp_path / "target.json"
+        target.write_text('{"size": 2, "couplings": [{"pair": [0, 1], "imag": %s}]}' % imag)
+        got, _, err = run(capsys, "compile", "--input", str(target), "--tolerance", "1e-6",
+                          "--output", str(tmp_path / "out"))
+        assert got == code
+        assert message in err
+
+
 class TestSeed:
     @pytest.mark.parametrize("command", [
         "cycles", "spectrum", "simulate", "compile", "compare", "bell"])

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,22 @@ class TestEnumerateExact:
             fastslow._tick_and_fire(table, slow, phases)
             flips += before != slow
         assert np.all(flips == 2)
+
+    def test_memory_does_not_grow_with_horizon(self):
+        # 133 x 177 clocks with 4496 points: every 5th row-step is a state change
+        target = np.array([[0.0, -0.3j], [0.3j, 0.0]])
+        m = quantize.compile_target(target, 1e-6, 200)
+        assert (m.periods, len(m.special_points)) == ((133, 177), 4496)
+        peaks = []
+        for horizon in (70, 2000):
+            tracemalloc.start()
+            try:
+                fastslow.enumerate_exact(m, 0, horizon)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 16 * 2 ** 20
+        assert peaks[1] < 2 * peaks[0]
 
     def test_size_cap(self):
         m = fastslow.OntologicalModel(slow_count=1, periods=(fastslow.ENUMERATION_CAP + 1,))

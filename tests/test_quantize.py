@@ -290,6 +290,21 @@ class TestCompileTarget:
         achieved = quantize.INTERCHANGE_WEIGHT * float(eff.coupling((0, 1)))
         assert achieved == abs(target[0, 1].imag)  # error exactly 0
 
+    def test_magnitude_beyond_any_machine_refused(self):
+        with pytest.raises(quantize.UnreachableToleranceError, match="exceeds pi/2"):
+            quantize.compile_target(self.pair_target(10.0), 1e-6, 200)
+
+    def test_rational_search_stays_bounded(self):
+        # x's first continued-fraction term is huge, and while k1 == 0 its
+        # intermediate fractions are the integers m/1 below x
+        candidates = quantize._rational_candidates(1e6, 100)
+        assert len(candidates) <= 102
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_refused(self, value):
+        with pytest.raises(quantize.NotRepresentableError, match="not finite"):
+            quantize.compile_target(self.pair_target(value), 1e-6, 200)
+
     def test_zero_target_no_points(self):
         m = quantize.compile_target(np.zeros((3, 3), dtype=complex), 1e-6, 50)
         assert m.special_points == ()
