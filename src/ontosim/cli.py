@@ -63,13 +63,18 @@ def _load_law_or_model(path: str):
     if "image" in doc:
         return "law", ontodyn.law_from_json(text)
     if "slow_count" in doc:
-        # report a marginal clock period against the input file, not library code
-        with warnings.catch_warnings(record=True) as caught:
-            model = fastslow.model_from_json(text)
-        for warning in caught:
-            print(f"ontosim: warning: {path}: {warning.message}", file=sys.stderr)
-        return "model", model
+        with _warnings_against(path):
+            return "model", fastslow.model_from_json(text)
     raise ValueError("input is neither a permutation ('image') nor a model ('slow_count')")
+
+
+@contextmanager
+def _warnings_against(path: str):
+    """Report library warnings (a marginal clock period) against the input file."""
+    with warnings.catch_warnings(record=True) as caught:
+        yield
+    for warning in caught:
+        print(f"ontosim: warning: {path}: {warning.message}", file=sys.stderr)
 
 
 def _opt(args, config: dict, key: str, default=None):
@@ -91,6 +96,14 @@ def _count(args, config: dict, key: str, least: int, default=None) -> int | None
     if value < least:
         raise UsageError(f"--{key} must be at least {least}, not {value}")
     return value
+
+
+def _tolerance(args, config: dict) -> float:
+    """A required number, refused with a usage error unless finite and above 0."""
+    value = _require(_opt(args, config, "tolerance"), "tolerance")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        raise UsageError(f"--tolerance must be a finite number above 0, not {value!r}")
+    return float(value)
 
 
 def _require(value, name: str):
@@ -142,82 +155,60 @@ def _cmd_simulate(args, config) -> int:
     horizon = _require(_count(args, config, "horizon", 0), "horizon")
     samples = _require(_count(args, config, "samples", 1), "samples")
     seed = _require(_opt(args, config, "seed"), "seed")
+    initial = _count(args, config, "initial", 0, 0)
     kind, model = _load_law_or_model(_require(_opt(args, config, "input"), "input"))
     if kind != "model":
         raise UsageError("simulate needs a model file, not a permutation")
-    initial = int(_opt(args, config, "initial", 0))
-    freq = fastslow.run_ensemble(model, initial, horizon, samples, int(seed))
+    freq = fastslow.run_ensemble(model, initial, horizon, samples, seed)
     with _out_stream(_opt(args, config, "output")) as fh:
         fastslow.write_ensemble_csv(freq, fh)
     return ExitCode.OK
 
 
-def _compile_report(model, target, tolerance: float, max_period: int) -> dict:
-    eff = quantize.ground_project(model)
-    pairs = []
-    worst = 0.0
-    mags = {
-        (a, b): abs(float(target[a, b].imag))
-        for a in range(target.shape[0]) for b in range(a + 1, target.shape[0])
-        if target[a, b] != 0}
-    seen = set()
-    for pc in eff.couplings:
-        achieved = quantize.INTERCHANGE_WEIGHT * pc.points / pc.denominator
-        err = abs(achieved - mags.get(pc.pair, 0.0))
-        worst = max(worst, err)
-        seen.add(pc.pair)
-        pairs.append({"pair": list(pc.pair), "num": pc.points, "den": pc.denominator,
-                      "target": mags.get(pc.pair, 0.0), "achieved": achieved,
-                      "abs_error": err})
-    for pair, mag in sorted(mags.items()):
-        if pair not in seen:
-            worst = max(worst, mag)
-            pairs.append({"pair": list(pair), "num": 0, "den": 1,
-                          "target": mag, "achieved": 0.0, "abs_error": mag})
-    return {"tolerance": tolerance, "max_period": max_period,
-            "pairs": pairs, "max_abs_error": worst}
+def _write_comparison(model, initial: int, horizon: int, samples: int, seed: int,
+                      dest: str | None) -> None:
+    """Write the comparison CSV to ``dest`` and its residuals to stderr."""
+    comparison = quantize.compare_dynamics(model, initial, horizon,
+                                           sample_count=samples, seed=seed)
+    with _out_stream(dest) as fh:
+        quantize.write_comparison_csv(comparison, fh)
+    print(f"max |classical - quantum| = {comparison.max_classical_quantum:.3e}, "
+          f"max |classical - effective| = {comparison.max_classical_effective:.3e}",
+          file=sys.stderr)
 
 
 def _cmd_compile(args, config) -> int:
     samples = _count(args, config, "samples", 0, 0)
-    target = quantize.load_target(_require(_opt(args, config, "input"), "input"))
-    tolerance = float(_require(_opt(args, config, "tolerance"), "tolerance"))
-    max_period = int(_opt(args, config, "max-period", 200))
+    initial = _count(args, config, "initial", 0, 0)
+    horizon = _count(args, config, "horizon", 0)
+    tolerance = _tolerance(args, config)
+    max_period = _count(args, config, "max-period", 1, 200)
+    path = _require(_opt(args, config, "input"), "input")
+    target = quantize.load_target(path)
     out_dir = Path(_require(_opt(args, config, "output"), "output"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    model = quantize.compile_target(target, tolerance, max_period)
+    with _warnings_against(path):
+        model = quantize.compile_target(target, tolerance, max_period)
     (out_dir / "model.json").write_text(fastslow.model_to_json(model) + "\n", encoding="utf-8")
-    report = _compile_report(model, target, tolerance, max_period)
+    report = {"tolerance": tolerance, "max_period": max_period,
+              **quantize.compile_report(model, target)}
     (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-
-    horizon = _count(args, config, "horizon", 0)
     if horizon is not None:
-        comparison = quantize.compare_dynamics(
-            model, int(_opt(args, config, "initial", 0)), horizon, sample_count=samples,
-            seed=int(_opt(args, config, "seed", 0)))
-        with open(out_dir / "comparison.csv", "w", encoding="utf-8", newline="") as fh:
-            quantize.write_comparison_csv(comparison, fh)
-        print(f"max |classical - quantum| = {comparison.max_classical_quantum:.3e}, "
-              f"max |classical - effective| = {comparison.max_classical_effective:.3e}",
-              file=sys.stderr)
+        _write_comparison(model, initial, horizon, samples, _opt(args, config, "seed", 0),
+                          str(out_dir / "comparison.csv"))
     return ExitCode.OK
 
 
 def _cmd_compare(args, config) -> int:
     horizon = _require(_count(args, config, "horizon", 0), "horizon")
     samples = _count(args, config, "samples", 0, 0)
+    initial = _count(args, config, "initial", 0, 0)
     kind, model = _load_law_or_model(_require(_opt(args, config, "input"), "input"))
     if kind != "model":
         raise UsageError("compare needs a model file, not a permutation")
-    comparison = quantize.compare_dynamics(
-        model, int(_opt(args, config, "initial", 0)), horizon, sample_count=samples,
-        seed=int(_opt(args, config, "seed", 0)))
-    with _out_stream(_opt(args, config, "output")) as fh:
-        quantize.write_comparison_csv(comparison, fh)
-    print(f"max |classical - quantum| = {comparison.max_classical_quantum:.3e}, "
-          f"max |classical - effective| = {comparison.max_classical_effective:.3e}",
-          file=sys.stderr)
+    _write_comparison(model, initial, horizon, samples, _opt(args, config, "seed", 0),
+                      _opt(args, config, "output"))
     return ExitCode.OK
 
 
@@ -239,7 +230,7 @@ def _cmd_bell(args, config) -> int:
     report["S_quantum"] = bellkit.chsh_score(bellkit.quantum_correlation, *settings).score
     if samples > 0:
         report["S_monte_carlo"] = bellkit.mc_chsh(
-            *settings, samples_per_setting=max(1, samples // 4), seed=int(seed)).score
+            *settings, samples_per_setting=max(1, samples // 4), seed=seed).score
     (out_dir / "chsh.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
     flatness = {name: bellkit.marginal_flatness(name) for name in ("lambda", "a", "b")}
@@ -247,7 +238,7 @@ def _cmd_bell(args, config) -> int:
                                            encoding="utf-8")
 
     if samples > 0:
-        triples = bellkit.sample_triples(samples, int(seed))
+        triples = bellkit.sample_triples(samples, seed)
         with open(out_dir / "samples.csv", "w", encoding="utf-8", newline="") as fh:
             bellkit.write_samples_csv(triples, fh)
     return ExitCode.OK

@@ -77,19 +77,11 @@ def _matching_phase_flats(model: fastslow.OntologicalModel, fixed: Mapping[int, 
 # ---------------------------------------------------------------------------
 # Hamiltonians
 
-@dataclass(frozen=True)
-class InterchangeTerm:
-    pair: tuple[int, int]
-    trigger: tuple[int, int]
-    weight: float
-
-
 @dataclass(frozen=True, eq=False)
 class InterchangeHamiltonian:
-    """Sparse interchange Hamiltonian plus one record per special point."""
+    """Sparse interchange Hamiltonian on the product space."""
 
     matrix: sparse.csr_matrix
-    terms: tuple[InterchangeTerm, ...]
 
 
 def clock_hamiltonian(period: int) -> np.ndarray:
@@ -130,10 +122,7 @@ def build_interchange(model: fastslow.OntologicalModel) -> InterchangeHamiltonia
             shape=(dim, dim))
     else:
         matrix = sparse.csr_matrix((dim, dim), dtype=complex)
-    terms = tuple(
-        InterchangeTerm(pair=pt.pair, trigger=pt.trigger, weight=INTERCHANGE_WEIGHT)
-        for pt in model.special_points)
-    return InterchangeHamiltonian(matrix=matrix, terms=terms)
+    return InterchangeHamiltonian(matrix=matrix)
 
 
 def build_full_hamiltonian(model: fastslow.OntologicalModel):
@@ -271,16 +260,15 @@ def _pair_counts(model: fastslow.OntologicalModel) -> tuple[PairCoupling, ...]:
         for pair in sorted(counts))
 
 
-def ground_project(model: fastslow.OntologicalModel,
-                   interchange: InterchangeHamiltonian | None = None) -> EffectiveHamiltonian:
+def ground_project(model: fastslow.OntologicalModel) -> EffectiveHamiltonian:
     """Project the interchange Hamiltonian onto the clocks' ground subspace.
 
     Within :data:`INTERCHANGE_CAP` the projection is carried out explicitly
-    (uniform ground bra/ket applied to the assembled sparse matrix) and
+    (uniform ground bra/ket applied to :func:`build_interchange`'s matrix) and
     cross-checked against the exact rational table at 1e-12.  Above the cap
     only the special-point clocks act nontrivially per term, every other
     clock contributes an exact factor 1, so the matrix is evaluated from the
-    rational table directly.
+    rational table directly.  The ontic space size alone picks the route.
     """
     n = model.slow_count
     couplings = _pair_counts(model)
@@ -289,20 +277,18 @@ def ground_project(model: fastslow.OntologicalModel,
         a, b = pc.pair
         expected[a, b] = -1j * INTERCHANGE_WEIGHT * pc.points / pc.denominator
         expected[b, a] = expected[a, b].conjugate()
+    if model.ontic_space_size > INTERCHANGE_CAP:
+        return EffectiveHamiltonian(matrix=expected, couplings=couplings)
 
-    if interchange is None and model.ontic_space_size <= INTERCHANGE_CAP:
-        interchange = build_interchange(model)
-    if interchange is not None:
-        p_total = model.phase_space_size
-        coo = interchange.matrix.tocoo()
-        projected = np.zeros((n, n), dtype=complex)
-        np.add.at(projected, (coo.row // p_total, coo.col // p_total), coo.data)
-        projected /= p_total
-        if float(np.abs(projected - expected).max(initial=0.0)) > 1e-12:
-            raise ProjectionMismatchError(
-                "explicit ground projection disagrees with the rational table")
-        return EffectiveHamiltonian(matrix=projected, couplings=couplings)
-    return EffectiveHamiltonian(matrix=expected, couplings=couplings)
+    p_total = model.phase_space_size
+    coo = build_interchange(model).matrix.tocoo()
+    projected = np.zeros((n, n), dtype=complex)
+    np.add.at(projected, (coo.row // p_total, coo.col // p_total), coo.data)
+    projected /= p_total
+    if float(np.abs(projected - expected).max(initial=0.0)) > 1e-12:
+        raise ProjectionMismatchError(
+            "explicit ground projection disagrees with the rational table")
+    return EffectiveHamiltonian(matrix=projected, couplings=couplings)
 
 
 def effective_to_json(eff: EffectiveHamiltonian) -> str:
@@ -552,6 +538,34 @@ def _spread_points(period_a: int, period_b: int, count: int) -> list[tuple[int, 
     return [(i // period_b, i % period_b) for i in idx]
 
 
+def _target_magnitudes(target: np.ndarray) -> dict[tuple[int, int], float]:
+    """|H_ab| for every pair a < b that a validated target couples."""
+    rows, cols = np.nonzero(np.triu(target, 1))
+    return {(int(a), int(b)): abs(float(target[a, b].imag)) for a, b in zip(rows, cols)}
+
+
+def compile_report(model: fastslow.OntologicalModel, target) -> dict:
+    """``{"pairs": [...], "max_abs_error": e}`` from the exact point counts.
+
+    One entry ``{"pair", "num", "den", "target", "achieved", "abs_error"}``,
+    with ``achieved = (pi/2) * num/den``, per pair the target or the model
+    couples, in ascending order; an uncoupled target pair reads 0/1.  No
+    Hilbert-space matrix is built.
+    """
+    magnitudes = _target_magnitudes(validate_target(target))
+    counts = {pc.pair: pc for pc in _pair_counts(model)}
+    pairs = []
+    for pair in sorted(magnitudes.keys() | counts.keys()):
+        pc = counts.get(pair, PairCoupling(pair=pair, points=0, denominator=1))
+        wanted = magnitudes.get(pair, 0.0)
+        achieved = INTERCHANGE_WEIGHT * pc.points / pc.denominator
+        pairs.append({"pair": list(pair), "num": pc.points, "den": pc.denominator,
+                      "target": wanted, "achieved": achieved,
+                      "abs_error": abs(achieved - wanted)})
+    return {"pairs": pairs,
+            "max_abs_error": max((p["abs_error"] for p in pairs), default=0.0)}
+
+
 def compile_target(target, tolerance: float, max_period: int) -> fastslow.OntologicalModel:
     """Build a machine whose effective Hamiltonian approximates the target.
 
@@ -561,7 +575,8 @@ def compile_target(target, tolerance: float, max_period: int) -> fastslow.Ontolo
     tied together, so every coupled state gets the cap period and the point
     counts are rounded against that common denominator.  Trigger cells are
     spread evenly and never collide on a shared clock, so the result always
-    passes the builder's conflict scan.
+    passes the builder's conflict scan.  The first :func:`compile_report`
+    entry off by more than ``tolerance`` raises UnreachableToleranceError.
     """
     t = validate_target(target)
     if not 0 < tolerance < math.inf:
@@ -570,9 +585,7 @@ def compile_target(target, tolerance: float, max_period: int) -> fastslow.Ontolo
         raise ValueError("max_period must be >= 1")
     n = t.shape[0]
     tol_x = tolerance / INTERCHANGE_WEIGHT
-    magnitudes = {
-        (a, b): abs(float(t[a, b].imag))
-        for a in range(n) for b in range(a + 1, n) if t[a, b] != 0}
+    magnitudes = _target_magnitudes(t)
     # points <= Pa*Pb, so no machine couples a pair more strongly than pi/2
     for pair, mag in sorted(magnitudes.items()):
         if mag > INTERCHANGE_WEIGHT + tolerance:
@@ -583,9 +596,7 @@ def compile_target(target, tolerance: float, max_period: int) -> fastslow.Ontolo
     points: list[fastslow.SpecialPoint] = []
     degree = Counter(s for pair in magnitudes for s in pair)
 
-    if not magnitudes:
-        pass
-    elif max(degree.values()) <= 1:
+    if max(degree.values(), default=0) <= 1:
         for (a, b), mag in sorted(magnitudes.items()):
             count, (pa, pb) = _approximate_coupling(mag / INTERCHANGE_WEIGHT, tol_x, max_period)
             if count == 0:
@@ -621,19 +632,14 @@ def compile_target(target, tolerance: float, max_period: int) -> fastslow.Ontolo
                 idx = (j * cells) // counts[pair]
                 points.append(fastslow.SpecialPoint(
                     pair=pair, trigger=(base_a + idx // side, base_b + idx % side)))
-        for s, deg in degree.items():
-            if deg:
-                periods[s] = q
+        for s in degree:
+            periods[s] = q
 
     model = fastslow.OntologicalModel(
         slow_count=n, periods=tuple(periods), special_points=tuple(points))
-    for pc in _pair_counts(model):
-        achieved = INTERCHANGE_WEIGHT * pc.points / pc.denominator
-        if abs(achieved - magnitudes.get(pc.pair, 0.0)) > tolerance:
+    for entry in compile_report(model, t)["pairs"]:
+        if entry["abs_error"] > tolerance:
             raise UnreachableToleranceError(
-                f"achieved coupling {achieved} misses target for pair {pc.pair}")
-    for pair, mag in magnitudes.items():
-        if pair not in {pc.pair for pc in _pair_counts(model)} and mag > tolerance:
-            raise UnreachableToleranceError(
-                f"coupling {mag} for pair {pair} rounded away above tolerance")
+                f"achieved coupling {entry['achieved']} for pair {tuple(entry['pair'])} "
+                f"misses target {entry['target']}")
     return model

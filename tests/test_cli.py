@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ontosim import cli
+from ontosim import cli, fastslow, quantize
 from ontosim.cli import ExitCode
 from ontosim.fixtures import fixture_path
 
@@ -151,6 +151,24 @@ class TestCompile:
                          "--output", str(tmp_path / "y"))
         assert code == ExitCode.UNREACHABLE_TOLERANCE
 
+    def test_report_is_the_library_report(self, capsys, tmp_path, monkeypatch):
+        def no_hilbert_space(model):
+            raise AssertionError("the compile report built the interchange Hamiltonian")
+
+        monkeypatch.setattr(quantize, "build_interchange", no_hilbert_space)
+        target = tmp_path / "chain.json"
+        target.write_text(json.dumps({"size": 3, "couplings": [
+            {"pair": [0, 1], "imag": (math.pi / 2) * 0.05},
+            {"pair": [1, 2], "imag": (math.pi / 2) * 0.2}]}))
+        out_dir = tmp_path / "out"
+        code, _, _ = run(capsys, "compile", "--input", str(target), "--tolerance", "2e-3",
+                         "--max-period", "100", "--output", str(out_dir))
+        assert code == ExitCode.OK
+        model = fastslow.load_model(out_dir / "model.json")
+        expected = {"tolerance": 2e-3, "max_period": 100,
+                    **quantize.compile_report(model, quantize.load_target(target))}
+        assert (out_dir / "report.json").read_text() == json.dumps(expected, indent=2) + "\n"
+
 
 class TestCompare:
     def test_csv_on_stdout(self, capsys):
@@ -223,6 +241,14 @@ class TestCountOptions:
         ("compare", "--samples", "-3"),
         ("compile", "--horizon", "-1"),
         ("compile", "--samples", "-1"),
+        ("simulate", "--initial", "-1"),
+        ("compare", "--initial", "-1"),
+        ("compile", "--initial", "-1"),
+        ("compile", "--max-period", "0"),
+        ("compile", "--tolerance", "nan"),
+        ("compile", "--tolerance", "inf"),
+        ("compile", "--tolerance", "0"),
+        ("compile", "--tolerance", "-0.5"),
     ])
     def test_bad_count_is_usage_error(self, capsys, tmp_path, command, flag, value):
         target = tmp_path / "target.json"
@@ -247,6 +273,11 @@ class TestCountOptions:
         ("compare", "horizon", -2),
         ("compare", "samples", -3),
         ("compile", "samples", -1),
+        ("simulate", "initial", 1.9),
+        ("compare", "initial", True),
+        ("compile", "tolerance", "1e-6"),
+        ("compile", "tolerance", True),
+        ("compile", "max-period", 70.9),
     ])
     def test_bad_count_from_config(self, capsys, tmp_path, command, field, value):
         target = tmp_path / "target.json"
@@ -338,13 +369,20 @@ class TestSeed:
 
 class TestDiagnostics:
     @pytest.mark.filterwarnings("default::ontosim.fastslow.FastPeriodWarning")
-    @pytest.mark.parametrize("command", ["simulate", "compare"])
-    def test_fast_period_warning_names_input(self, capsys, command):
-        code, _, err = run(capsys, command, "--input", TWO_STATE, "--horizon", "2",
-                           "--samples", "5", "--seed", "1")
+    @pytest.mark.parametrize("command", ["simulate", "compare", "compile"])
+    def test_fast_period_warning_names_input(self, capsys, tmp_path, command):
+        path, argv = TWO_STATE, ["--horizon", "2", "--samples", "5", "--seed", "1"]
+        if command == "compile":  # compiles to periods (7, 10)
+            path = str(tmp_path / "target.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump({"size": 2, "couplings": [
+                    {"pair": [0, 1], "imag": (math.pi / 2) / 70}]}, fh)
+            argv += ["--tolerance", "1e-6", "--max-period", "100",
+                     "--output", str(tmp_path / "out")]
+        code, _, err = run(capsys, command, "--input", path, *argv)
         assert code == ExitCode.OK
-        assert f"ontosim: warning: {TWO_STATE}: clock periods [7] are below 10" in err
-        assert "fastslow.py" not in err
+        assert f"ontosim: warning: {path}: clock periods [7] are below 10" in err
+        assert "fastslow.py" not in err and "quantize.py" not in err
 
 
 class TestConfigPrecedence:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ontosim import fastslow, ontodyn, quantize
 
@@ -54,7 +56,6 @@ class TestHamiltonians:
         m = fastslow.OntologicalModel(slow_count=2, periods=(4, 4))
         _, inter = quantize.build_full_hamiltonian(m)
         assert inter.matrix.nnz == 0
-        assert inter.terms == ()
 
     def test_single_point_two_entries(self):
         m = two_state_model(2, 2, trigger=(1, 0))
@@ -65,8 +66,6 @@ class TestHamiltonians:
         assert len(nz) == 2
         vals = sorted((dense[tuple(idx)] for idx in nz), key=lambda z: z.imag)
         assert np.allclose(vals, [-1j * np.pi / 2, 1j * np.pi / 2])
-        assert inter.terms == (quantize.InterchangeTerm(
-            pair=(0, 1), trigger=(1, 0), weight=np.pi / 2),)
 
     def test_free_spectrum_for_periods_2_3(self):
         m = fastslow.OntologicalModel(slow_count=2, periods=(2, 3))
@@ -140,11 +139,6 @@ class TestGroundProject:
     def test_delta_expectation_is_one_over_period(self):
         for period in (2, 5, 64):
             assert quantize.ground_delta_expectation(period, period // 2) == Fraction(1, period)
-
-    def test_accepts_prebuilt_interchange(self):
-        m = two_state_model(10, 7)
-        eff = quantize.ground_project(m, interchange=quantize.build_interchange(m))
-        assert eff.coupling((0, 1)) == Fraction(1, 70)
 
     def test_large_space_falls_back_to_rational_route(self):
         m = two_state_model(1500, 1500)
@@ -377,6 +371,60 @@ class TestCompileTarget:
         table = exact_projection_table(m)
         eff = quantize.ground_project(m)
         assert table == {pc.pair: pc.fraction for pc in eff.couplings}
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_multi_state_property(self, data):
+        # shared states tie every coupled clock to max_period; 3 * 24**3 and
+        # 4 * 22**4 ontic states stay within the enumeration cap
+        n = data.draw(st.sampled_from([3, 4]))
+        tolerance = data.draw(st.sampled_from([1e-2, 2e-3, 1e-4]))
+        max_period = data.draw(st.integers(2, 24 if n == 3 else 22))
+        t = np.zeros((n, n), dtype=complex)
+        for a in range(n):
+            for b in range(a + 1, n):
+                v = data.draw(st.one_of(st.just(0.0), st.floats(1e-4, 0.3)))
+                t[a, b], t[b, a] = 1j * v, -1j * v
+        try:
+            m = quantize.compile_target(t, tolerance, max_period)
+        except quantize.UnreachableToleranceError:
+            return
+        report = quantize.compile_report(m, t)
+        assert report["max_abs_error"] <= tolerance
+        coupled = [(tuple(p["pair"]), p["num"], p["den"]) for p in report["pairs"] if p["num"]]
+        eff = quantize.ground_project(m)
+        assert coupled == [(pc.pair, pc.points, pc.denominator) for pc in eff.couplings]
+        assert m.ontic_space_size <= fastslow.ENUMERATION_CAP
+        assert quantize.compare_dynamics(m, 0, 12).max_classical_quantum <= 1e-10
+
+
+class TestCompileReport:
+    def test_rounded_away_pair_reads_zero_over_one(self):
+        t = np.zeros((3, 3), dtype=complex)
+        for (a, b), v in {(0, 1): 1e-4, (1, 2): (math.pi / 2) * 10 / 400}.items():
+            t[a, b], t[b, a] = 1j * v, -1j * v
+        m = quantize.compile_target(t, 1e-3, 20)
+        report = quantize.compile_report(m, t)
+        assert report["pairs"] == [
+            {"pair": [0, 1], "num": 0, "den": 1, "target": 1e-4, "achieved": 0.0,
+             "abs_error": 1e-4},
+            {"pair": [1, 2], "num": 10, "den": 400, "target": t[1, 2].imag,
+             "achieved": quantize.INTERCHANGE_WEIGHT * 10 / 400, "abs_error": 0.0},
+        ]
+        assert report["max_abs_error"] == 1e-4
+
+    def test_coupled_pair_missing_from_target(self):
+        report = quantize.compile_report(two_state_model(10, 7), np.zeros((2, 2)))
+        achieved = quantize.INTERCHANGE_WEIGHT / 70
+        assert report == {
+            "pairs": [{"pair": [0, 1], "num": 1, "den": 70, "target": 0.0,
+                       "achieved": achieved, "abs_error": achieved}],
+            "max_abs_error": achieved}
+
+    def test_empty_target(self):
+        m = fastslow.OntologicalModel(slow_count=3, periods=(4, 4, 4))
+        report = quantize.compile_report(m, np.zeros((3, 3), dtype=complex))
+        assert report == {"pairs": [], "max_abs_error": 0.0}
 
 
 class TestSerialization:
