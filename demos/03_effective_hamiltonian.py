@@ -9,6 +9,8 @@ effective two-level rotation) are then laid side by side.
 """
 
 import math
+import sys
+import warnings
 
 import numpy as np
 
@@ -17,7 +19,12 @@ from ontosim.fixtures import fixture_path
 
 
 def main():
-    model = fastslow.load_model(fixture_path("two_state_10_7.json"))
+    # The fixture's period-7 clock is below the soft threshold of 10 on purpose
+    # (small tables); report the builder's warning in one line, as the CLI does.
+    with warnings.catch_warnings(record=True) as caught:
+        model = fastslow.load_model(fixture_path("two_state_10_7.json"))
+    for warning in caught:
+        print(f"warning: two_state_10_7.json: {warning.message}", file=sys.stderr)
 
     # One evolution step of the interchange term alone is a classical swap
     # (with a harmless sign): no superposition is ever generated.

@@ -290,8 +290,11 @@ def main(argv=None) -> int:
         _count(args, config, "seed", 0)
         _count(args, config, "horizon", 0)
         return int(args.handler(args, config))
-    except FileNotFoundError as exc:
-        print(f"ontosim: file not found: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        if exc.filename is None:  # not about an input or output path
+            raise
+        print(f"ontosim: file not found or not readable/writable: {exc.filename} "
+              f"({exc.strerror})", file=sys.stderr)
         return ExitCode.FILE_NOT_FOUND
     except UsageError as exc:
         print(f"ontosim: {exc}", file=sys.stderr)

@@ -13,17 +13,21 @@ A step is swap-after-tick: all phases advance first, then every special
 point whose trigger matches the new phases fires.  The conflict rule lives
 in one place, :func:`_validate_model`, which every model passes at
 construction: no two points on different pairs may claim the same value on
-the clock of a shared slow state.  So the firing set is always a product of
-disjoint transpositions.
+the clock of a shared slow state.  So the swaps of one step are always a
+product of disjoint transpositions.
 
-Two stepping paths share that rule.  The per-step kernel
-(:func:`_tick_and_fire`, behind :func:`step` and :func:`step_tables`) ticks
-every clock and applies one firing test per coupled pair.  Occupation counts
-(:func:`run_ensemble`, :func:`enumerate_exact`) never tick: the clocks are
-deterministic, so each sample jumps straight to its next state change, found
-on the diagonal orbits of each coupled pair's clocks
-(:func:`_orbit_position`), and the counts are summed from those changes.
-Their cost grows with the number of state changes, not with the horizon.
+A point fires on exactly one set of phase combinations, its firing set:
+both of its clocks at their trigger values, every other clock free
+(:func:`_firing_flats`).  The tabulated step (:func:`step_tables`, behind
+:func:`step_map`) swaps on each coupled pair's firing set one tick ahead,
+and the interchange Hamiltonian (``quantize.build_interchange``) places its
+(pi/2) sigma_y on the same sets.  Occupation counts (:func:`run_ensemble`,
+:func:`enumerate_exact`) never tick: the clocks are deterministic, so each
+sample jumps straight to its next state change, found on the diagonal orbits
+of each coupled pair's clocks (:func:`_orbit_position`), and the counts are
+summed from those changes.  Their cost grows with the number of state
+changes, not with the horizon.  The two algorithms are kept apart on
+purpose, so comparing them is a real check.
 
 Clock periods are meant to be large compared with the inverse couplings of
 interest; that is a soft convention, so the builder only warns (never
@@ -212,82 +216,67 @@ def _check_config(model: OntologicalModel, config: ClassicalConfig) -> None:
             raise ConfigError(f"phase {phase} outside clock {i} period {period}")
 
 
-class _FiringTable(NamedTuple):
-    """The special-point table grouped by coupled pair.
-
-    ``pairs`` holds one ``(a, b, period_b, codes)`` per coupled pair a < b,
-    where ``codes`` are the sorted ``trigger_a * period_b + trigger_b`` of its
-    points.  Its size is O(points) whatever the clock periods.
-    """
-
-    periods: np.ndarray
-    pairs: tuple[tuple[int, int, int, np.ndarray], ...]
-
-
-def _firing_table(model: OntologicalModel) -> _FiringTable:
-    codes: dict[tuple[int, int], list[int]] = {}
+def _pair_triggers(model: OntologicalModel) -> dict[tuple[int, int], np.ndarray]:
+    """The special points grouped by coupled pair a < b, in ascending pair
+    order: one (K, 2) int64 array of triggers per pair."""
+    grouped: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for sp in model.special_points:
-        a, b = sp.pair
-        codes.setdefault((a, b), []).append(sp.trigger[0] * model.periods[b] + sp.trigger[1])
-    pairs = tuple((a, b, model.periods[b], np.sort(np.array(c, dtype=np.int64)))
-                  for (a, b), c in sorted(codes.items()))
-    return _FiringTable(np.asarray(model.periods, dtype=np.int64), pairs)
+        grouped.setdefault(sp.pair, []).append(sp.trigger)
+    return {pair: np.array(grouped[pair], dtype=np.int64) for pair in sorted(grouped)}
 
 
-def _fired(table: _FiringTable, phases: np.ndarray):
-    """Yield ``(a, b, mask)`` per coupled pair: rows of ``phases`` where it fires."""
-    for a, b, period_b, codes in table.pairs:
-        x = phases[:, a] * period_b + phases[:, b]
-        yield a, b, codes.take(np.searchsorted(codes, x), mode="clip") == x
+def _firing_flats(model: OntologicalModel, pair: tuple[int, int], triggers: np.ndarray,
+                  ticks: int = 0) -> np.ndarray:
+    """Flat phase indices at which a point of ``pair`` fires ``ticks`` ticks later.
 
-
-def _tick_and_fire(table: _FiringTable, slow: np.ndarray, phases: np.ndarray) -> None:
-    """The stepping kernel: tick every clock, then swap wherever a pair fires.
-
-    ``slow`` is (S,), ``phases`` is (S, n_clocks); both are updated in place.
-    A valid model never fires two pairs that share a slow state in one step,
-    so applying the pairs one after another equals applying them at once.
+    The firing set: clocks a and b sit at ``trigger - ticks`` and every other
+    clock is free.  The cost is the number of indices returned.
     """
-    phases += 1
-    np.remainder(phases, table.periods, out=phases)
-    for a, b, fired in _fired(table, phases):
-        to_b = fired & (slow == a)
-        to_a = fired & (slow == b)
-        slow[to_b] = b
-        slow[to_a] = a
+    strides = phase_strides(model.periods)
+    periods = np.asarray(model.periods, dtype=np.int64)
+    on = list(pair)
+    flats = ((triggers - ticks) % periods[on]) @ strides[on]
+    for i, period in enumerate(model.periods):
+        if i not in pair:
+            flats = (flats[:, None] + np.arange(period, dtype=np.int64) * strides[i]).reshape(-1)
+    return flats
 
 
 def step(model: OntologicalModel, config: ClassicalConfig) -> ClassicalConfig:
     """One time step: advance all phases by +1, then apply any firing swap."""
     _check_config(model, config)
-    slow = np.array([config.slow], dtype=np.int64)
-    phases = np.array([config.phases], dtype=np.int64)
-    _tick_and_fire(_firing_table(model), slow, phases)
-    return ClassicalConfig(slow=int(slow[0]), phases=tuple(int(v) for v in phases[0]))
+    phases = tuple((int(v) + 1) % period for v, period in zip(config.phases, model.periods))
+    slow = int(config.slow)
+    # a valid model fires at most one point touching ``slow``
+    for sp in model.special_points:
+        a, b = sp.pair
+        if slow in sp.pair and (phases[a], phases[b]) == sp.trigger:
+            return ClassicalConfig(slow=a + b - slow, phases=phases)
+    return ClassicalConfig(slow=slow, phases=phases)
 
 
 def step_tables(model: OntologicalModel) -> tuple[np.ndarray, np.ndarray]:
     """The full step map in tabulated form.
 
     Returns ``(rotated_flat, slow_image)`` where ``rotated_flat[p]`` is the
-    phase flat index after the tick and ``slow_image[p, s]`` the slow state an
-    occupant of ``s`` ends in when the ticked phases have flat index built
-    from combination ``p``.  Flat image of config (s, p) is
-    ``slow_image[p, s] * P + rotated_flat[p]``.  The model was checked for
-    conflicts when it was built (:func:`_validate_model`); the table is filled
-    with one firing test per coupled pair.
+    phase flat index after the tick of combination ``p`` and ``slow_image[p, s]``
+    the slow state an occupant of ``s`` ends in.  Flat image of config (s, p)
+    is ``slow_image[p, s] * P + rotated_flat[p]``.  ``rotated_flat`` is an
+    outer sum of per-clock ticks; ``slow_image`` is the identity except on
+    each coupled pair's firing set one tick ahead (:func:`_firing_flats`),
+    which the conflict rule (:func:`_validate_model`) keeps disjoint on any
+    shared slow state.
     """
     if model.ontic_space_size > ENUMERATION_CAP:
         raise ontodyn.SizeCapError(
             f"ontic space {model.ontic_space_size} exceeds enumeration cap {ENUMERATION_CAP}")
-    table = _firing_table(model)
-    # in place here and in step_map: large proofs keep fewer multi-MiB temporaries
-    rotated = _all_phase_rows(model)
-    rotated += 1
-    np.remainder(rotated, table.periods, out=rotated)
-    rotated_flat = rotated @ phase_strides(model.periods)
-    slow_image = np.tile(np.arange(model.slow_count, dtype=np.int64), (rotated.shape[0], 1))
-    for a, b, fired in _fired(table, rotated):
+    rotated_flat = np.zeros(1, dtype=np.int64)
+    for period, stride in zip(model.periods, phase_strides(model.periods)):
+        ticked = np.arange(1, period + 1, dtype=np.int64) % period * stride
+        rotated_flat = (rotated_flat[:, None] + ticked).reshape(-1)
+    slow_image = np.tile(np.arange(model.slow_count, dtype=np.int64), (rotated_flat.size, 1))
+    for (a, b), triggers in _pair_triggers(model).items():
+        fired = _firing_flats(model, (a, b), triggers, ticks=1)
         slow_image[fired, a] = b
         slow_image[fired, b] = a
     return rotated_flat, slow_image
@@ -330,10 +319,7 @@ def run_ensemble(model: OntologicalModel, initial_slow: int, horizon: int,
     Each sample starts in ``initial_slow`` with uniform random clock phases
     and evolves classically.  Returns an array of shape (horizon+1, N); row t
     is the empirical distribution over slow states after t steps.  Identical
-    seeds give bit-identical tables.  Samples are independent, so a
-    partitioned run may derive per-worker Philox streams from
-    (seed, worker index) and must then reproduce the serial result for a
-    fixed partition policy.
+    seeds give bit-identical tables.
 
     Samples jump from one state change to the next (:func:`_occupation_counts`):
     the work is O((samples + state changes) * log K) for K special points,
@@ -383,21 +369,17 @@ def _occupation_counts(model: OntologicalModel, initial_slow: int, horizon: int,
     state) and -1 at (step, old state) of a difference table, whose running
     sum is the counts.  There are as many rounds as the most changes any
     sample makes, each holds one pending change per live sample, and the
-    per-step kernel is never run.
+    clocks are never ticked.
     """
     n = model.slow_count
     never = horizon + 1
-    triggers: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for sp in model.special_points:
-        triggers.setdefault(sp.pair, []).append(sp.trigger)
     pairs = []
-    for (a, b), trig in triggers.items():
+    for (a, b), points in _pair_triggers(model).items():
         pa, pb = model.periods[a], model.periods[b]
         lcm = math.lcm(pa, pb)
         # Every point's key d*2L + tau and that key plus L, then a sentinel:
         # the first entry above a row's key is its next firing on this pair,
         # at most L ticks ahead, or more than L ahead if no point shares its orbit.
-        points = np.array(trig, dtype=np.int64)
         keys = np.add(*_orbit_position(pa, pb, points[:, 0], points[:, 1]))
         keys = np.sort(np.concatenate([keys, keys + lcm, [np.iinfo(np.int64).max]]))
         base, tau = _orbit_position(pa, pb, phases[:, a], phases[:, b])

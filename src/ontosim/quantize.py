@@ -29,13 +29,15 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Mapping
+from typing import IO, TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sparse
 
 from . import fastslow, ontodyn
 from .ontodyn import SizeCapError
+
+if TYPE_CHECKING:  # imported where a matrix is built: most runs never need it
+    import scipy.sparse as sparse
 
 FULL_HAMILTONIAN_CAP = 2 ** 14
 INTERCHANGE_CAP = 2 ** 22
@@ -61,20 +63,6 @@ class ProjectionMismatchError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# indexing
-
-def _matching_phase_flats(model: fastslow.OntologicalModel, fixed: Mapping[int, int]) -> np.ndarray:
-    """Flat phase indices of every combination matching the fixed clock values."""
-    strides = fastslow.phase_strides(model.periods)
-    flats = np.array([sum(int(fixed[i]) * int(strides[i]) for i in fixed)], dtype=np.int64)
-    for i, period in enumerate(model.periods):
-        if i in fixed:
-            continue
-        flats = (flats[:, None] + np.arange(period, dtype=np.int64) * strides[i]).reshape(-1)
-    return flats
-
-
-# ---------------------------------------------------------------------------
 # Hamiltonians
 
 @dataclass(frozen=True, eq=False)
@@ -97,9 +85,11 @@ def build_interchange(model: fastslow.OntologicalModel) -> InterchangeHamiltonia
 
     Element convention: for a pair (alpha, beta) with alpha < beta the block
     is (pi/2) * sigma_y in the ordered basis (alpha, beta), i.e. the
-    (alpha, beta) entry is -1j*pi/2 on every phase combination matching the
-    trigger.
+    (alpha, beta) entry is -1j*pi/2 on every phase combination of the pair's
+    firing set, the one :func:`fastslow.step_tables` swaps on a tick later.
     """
+    import scipy.sparse as sparse
+
     dim = model.ontic_space_size
     if dim > INTERCHANGE_CAP:
         raise SizeCapError(f"ontic space {dim} exceeds interchange cap {INTERCHANGE_CAP}")
@@ -107,9 +97,8 @@ def build_interchange(model: fastslow.OntologicalModel) -> InterchangeHamiltonia
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
-    for point in model.special_points:
-        a, b = point.pair
-        flats = _matching_phase_flats(model, {a: point.trigger[0], b: point.trigger[1]})
+    for (a, b), triggers in fastslow._pair_triggers(model).items():
+        flats = fastslow._firing_flats(model, (a, b), triggers)
         rows.extend([a * p_total + flats, b * p_total + flats])
         cols.extend([b * p_total + flats, a * p_total + flats])
         vals.extend([
@@ -127,6 +116,8 @@ def build_interchange(model: fastslow.OntologicalModel) -> InterchangeHamiltonia
 
 def build_full_hamiltonian(model: fastslow.OntologicalModel):
     """(free clock Hamiltonian, interchange Hamiltonian) on the product space."""
+    import scipy.sparse as sparse
+
     dim = model.ontic_space_size
     if dim > FULL_HAMILTONIAN_CAP:
         raise SizeCapError(f"ontic space {dim} exceeds dense cap {FULL_HAMILTONIAN_CAP}")
@@ -183,7 +174,7 @@ def schrodinger_evolve(hamiltonian: np.ndarray, state: np.ndarray, t: float) -> 
 
 def _require_hermitian(hamiltonian) -> np.ndarray:
     h = np.asarray(
-        hamiltonian.toarray() if sparse.issparse(hamiltonian) else hamiltonian,
+        hamiltonian.toarray() if hasattr(hamiltonian, "toarray") else hamiltonian,
         dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("Hamiltonian must be a square matrix")

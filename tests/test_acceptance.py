@@ -113,13 +113,13 @@ def test_criterion_07_flip_period_consistency():
     for n0, n1 in [(10, 7), (9, 4), (5, 3)]:
         model = two_state_model(n0, n1)
         joint = n0 * n1
-        phases = fastslow._all_phase_rows(model)
-        slow = np.zeros(phases.shape[0], dtype=np.int64)
-        flips = np.zeros(phases.shape[0], dtype=np.int64)
-        table = fastslow._firing_table(model)
+        image = fastslow.step_map(model).image
+        state = np.arange(joint)  # slow state 0 with every phase combination
+        flips = np.zeros(joint, dtype=np.int64)
         for t in range(1, 2 * joint + 1):
-            before = slow.copy()
-            fastslow._tick_and_fire(table, slow, phases)
+            before = state // joint
+            state = image[state]
+            slow = state // joint
             flips += before != slow
             if t == joint:
                 ok = ok and bool(np.all(flips == 1)) and bool(np.all(slow == 1))

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +44,16 @@ class TestCycles:
         code, _, err = run(capsys, "cycles", "--input", "/no/such/file.json")
         assert code == ExitCode.FILE_NOT_FOUND
         assert "not found" in err
+
+    def test_directory_as_input(self, capsys, tmp_path):
+        code, _, err = run(capsys, "cycles", "--input", str(tmp_path))
+        assert code == ExitCode.FILE_NOT_FOUND
+        assert str(tmp_path) in err and "Traceback" not in err
+
+    def test_directory_as_output(self, capsys, tmp_path):
+        code, _, err = run(capsys, "cycles", "--input", FIGURE1, "--output", str(tmp_path))
+        assert code == ExitCode.FILE_NOT_FOUND
+        assert str(tmp_path) in err and "Traceback" not in err
 
     def test_corrupted_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -202,6 +216,14 @@ class TestBell:
                              "--samples", "200", "--seed", "123")
             assert code == ExitCode.OK
         assert (dirs[0] / "samples.csv").read_bytes() == (dirs[1] / "samples.csv").read_bytes()
+
+    def test_file_as_output_directory(self, capsys, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, _, err = run(capsys, "bell", "--output", str(taken), "--grid", "2",
+                           "--samples", "0", "--seed", "1")
+        assert code == ExitCode.FILE_NOT_FOUND
+        assert str(taken) in err and "Traceback" not in err
 
     def test_custom_settings(self, capsys, tmp_path):
         out_dir = tmp_path / "bell"
@@ -396,3 +418,18 @@ class TestConfigPrecedence:
         assert code == ExitCode.OK
         rows = out.read_text().strip().splitlines()
         assert len(rows) == 4  # header + horizon 2 from the flag, not 4
+
+
+def test_sparse_is_imported_only_to_build_a_hamiltonian():
+    # the bell and ensemble paths never build a matrix, so they skip scipy.sparse
+    code = ("import sys, ontosim.cli\n"
+            "from ontosim import bellkit, fastslow\n"
+            "m = fastslow.OntologicalModel(2, (11, 13), (fastslow.SpecialPoint((0, 1), (0, 0)),))\n"
+            "fastslow.run_ensemble(m, 0, 20, 50, seed=1)\n"
+            "bellkit.correlated_expectation(0.1, 0.7)\n"
+            "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse was imported'\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr

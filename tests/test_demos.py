@@ -18,3 +18,4 @@ def test_demo_runs(demo):
                           env={**os.environ, "PYTHONPATH": path}, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "src/ontosim/" not in proc.stderr  # warnings name the input, not library code

@@ -216,15 +216,13 @@ class TestEnumerateExact:
             special_points=(fastslow.SpecialPoint(pair=(0, 1), trigger=(0, 0)),
                             fastslow.SpecialPoint(pair=(0, 1), trigger=(2, 1)),))
         joint = 15
-        phases = np.stack(np.meshgrid(np.arange(5), np.arange(3), indexing="ij"),
-                          axis=-1).reshape(-1, 2).astype(np.int64)
-        slow = np.zeros(15, dtype=np.int64)
+        image = fastslow.step_map(m).image
+        state = np.arange(15)  # slow state 0 with every phase combination
         flips = np.zeros(15, dtype=np.int64)
-        table = fastslow._firing_table(m)
         for _ in range(joint):
-            before = slow.copy()
-            fastslow._tick_and_fire(table, slow, phases)
-            flips += before != slow
+            before = state // 15
+            state = image[state]
+            flips += before != state // 15
         assert np.all(flips == 2)
 
     def test_memory_does_not_grow_with_horizon(self):

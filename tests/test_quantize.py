@@ -93,6 +93,44 @@ class TestHamiltonians:
             quantize.build_full_hamiltonian(m)
 
 
+def brute_force_interchange(model) -> list:
+    """Sorted (row, col, value) entries of the interchange Hamiltonian, built
+    point by point from every phase row that matches the point's trigger."""
+    rows = fastslow._all_phase_rows(model)
+    p_total = model.phase_space_size
+    w = quantize.INTERCHANGE_WEIGHT
+    entries = []
+    for sp in model.special_points:
+        a, b = sp.pair
+        for f in np.flatnonzero((rows[:, a] == sp.trigger[0]) & (rows[:, b] == sp.trigger[1])):
+            entries += [(a * p_total + f, b * p_total + f, -1j * w),
+                        (b * p_total + f, a * p_total + f, 1j * w)]
+    return sorted(entries, key=lambda e: e[:2])
+
+
+def interchange_entries(model) -> list:
+    coo = quantize.build_interchange(model).matrix.tocoo()
+    return sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()),
+                  key=lambda e: e[:2])
+
+
+class TestInterchangeEntries:
+    def test_free_clocks_before_between_and_after_a_pair(self):
+        # (1, 2) has clock 0 before it and clock 3 after; (0, 3) has 1 and 2 between
+        points = [((1, 2), (0, 1)), ((1, 2), (0, 4)), ((1, 2), (3, 2)),
+                  ((0, 3), (2, 0)), ((0, 3), (1, 0))]
+        m = fastslow.OntologicalModel(
+            slow_count=4, periods=(3, 4, 5, 2),
+            special_points=tuple(fastslow.SpecialPoint(pair=p, trigger=t) for p, t in points))
+        assert interchange_entries(m) == brute_force_interchange(m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_random_models(self, seed):
+        m = random_model(make_rng(seed), max_slow=4, max_period=5, max_points=8)
+        assert interchange_entries(m) == brute_force_interchange(m)
+
+
 class TestClassicalInterchange:
     def test_quarter_turn_is_a_signed_swap(self):
         u = quantize.classical_interchange_check()
