@@ -18,10 +18,13 @@ product of disjoint transpositions.
 
 A point fires on exactly one set of phase combinations, its firing set:
 both of its clocks at their trigger values, every other clock free
-(:func:`_firing_flats`).  The tabulated step (:func:`step_tables`, behind
-:func:`step_map`) swaps on each coupled pair's firing set one tick ahead,
-and the interchange Hamiltonian (``quantize.build_interchange``) places its
-(pi/2) sigma_y on the same sets.  Occupation counts (:func:`run_ensemble`,
+(:func:`_firing_flats`).  The tabulated step, :func:`step_tables`, is one
+flat int64 image of the whole ontic space: every config ticks, then the
+occupants of each coupled pair swap on its firing set one tick ahead.
+:func:`step_map` wraps that image as a permutation, and the Koopman step
+(``quantize.koopman_step_operator``) reads the same image.  The interchange
+Hamiltonian (``quantize.build_interchange``) places its (pi/2) sigma_y on the
+same firing sets.  Occupation counts (:func:`run_ensemble`,
 :func:`enumerate_exact`) never tick: the clocks are deterministic, so each
 sample jumps straight to its next state change, found on the diagonal orbits
 of each coupled pair's clocks (:func:`_orbit_position`), and the counts are
@@ -103,7 +106,6 @@ class OntologicalModel:
     slow_count: int
     periods: tuple[int, ...]
     special_points: tuple[SpecialPoint, ...] = ()
-    site_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "periods", tuple(int(p) for p in self.periods))
@@ -131,8 +133,6 @@ def _validate_model(model: OntologicalModel) -> None:
             f"need one clock period per slow state, got {len(model.periods)} for {n} states")
     if any(p < 1 for p in model.periods):
         raise ModelValidationError("clock periods must be positive")
-    if model.site_labels is not None and len(model.site_labels) != n:
-        raise ModelValidationError("site_labels length must equal slow_count")
     small = [p for p in model.periods if p < 10]
     if small:
         # 4 frames up: this function, __post_init__, the dataclass __init__,
@@ -255,39 +255,34 @@ def step(model: OntologicalModel, config: ClassicalConfig) -> ClassicalConfig:
     return ClassicalConfig(slow=slow, phases=phases)
 
 
-def step_tables(model: OntologicalModel) -> tuple[np.ndarray, np.ndarray]:
-    """The full step map in tabulated form.
+def step_tables(model: OntologicalModel) -> np.ndarray:
+    """The full step map as one flat table: ``image[f]`` is the flat index
+    (:func:`flat_config`) that config ``f`` steps to.
 
-    Returns ``(rotated_flat, slow_image)`` where ``rotated_flat[p]`` is the
-    phase flat index after the tick of combination ``p`` and ``slow_image[p, s]``
-    the slow state an occupant of ``s`` ends in.  Flat image of config (s, p)
-    is ``slow_image[p, s] * P + rotated_flat[p]``.  ``rotated_flat`` is an
-    outer sum of per-clock ticks; ``slow_image`` is the identity except on
-    each coupled pair's firing set one tick ahead (:func:`_firing_flats`),
-    which the conflict rule (:func:`_validate_model`) keeps disjoint on any
-    shared slow state.
+    The tick is an outer sum of per-clock ticks, offset by each slow state's
+    block.  Then every coupled pair's firing set one tick ahead
+    (:func:`_firing_flats`) swaps the images of its occupants of ``a`` and
+    ``b``.  The conflict rule (:func:`_validate_model`) keeps the firing sets
+    of pairs that share a slow state disjoint, so the swaps commute.
     """
     if model.ontic_space_size > ENUMERATION_CAP:
         raise ontodyn.SizeCapError(
             f"ontic space {model.ontic_space_size} exceeds enumeration cap {ENUMERATION_CAP}")
-    rotated_flat = np.zeros(1, dtype=np.int64)
+    p_total = model.phase_space_size
+    image = np.arange(model.slow_count, dtype=np.int64) * p_total
     for period, stride in zip(model.periods, phase_strides(model.periods)):
         ticked = np.arange(1, period + 1, dtype=np.int64) % period * stride
-        rotated_flat = (rotated_flat[:, None] + ticked).reshape(-1)
-    slow_image = np.tile(np.arange(model.slow_count, dtype=np.int64), (rotated_flat.size, 1))
+        image = (image[:, None] + ticked).reshape(-1)
     for (a, b), triggers in _pair_triggers(model).items():
         fired = _firing_flats(model, (a, b), triggers, ticks=1)
-        slow_image[fired, a] = b
-        slow_image[fired, b] = a
-    return rotated_flat, slow_image
+        on_a, on_b = a * p_total + fired, b * p_total + fired
+        image[on_a], image[on_b] = image[on_b], image[on_a]
+    return image
 
 
 def step_map(model: OntologicalModel) -> ontodyn.PermutationLaw:
     """The step as a permutation of the flat ontic space."""
-    rotated_flat, slow_image = step_tables(model)
-    image = np.multiply(slow_image.T, model.phase_space_size, order="C")
-    image += rotated_flat
-    return ontodyn.PermutationLaw(image.reshape(-1))
+    return ontodyn.PermutationLaw(step_tables(model))
 
 
 def check_bijectivity(model: OntologicalModel) -> ontodyn.CycleDecomposition:
@@ -461,12 +456,9 @@ def model_from_json(text: str) -> OntologicalModel:
             SpecialPoint(pair=ontodyn.json_ints(entry["pair"], "model field 'pair'", 2),
                          trigger=ontodyn.json_ints(entry["trigger"], "model field 'trigger'", 2))
             for entry in raw_points)
-        labels = doc.get("site_labels")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"model document missing field: {exc}") from exc
-    return OntologicalModel(
-        slow_count=n, periods=periods, special_points=points,
-        site_labels=tuple(labels) if labels is not None else None)
+    return OntologicalModel(slow_count=n, periods=periods, special_points=points)
 
 
 def load_model(path) -> OntologicalModel:
@@ -475,16 +467,13 @@ def load_model(path) -> OntologicalModel:
 
 
 def model_to_json(model: OntologicalModel) -> str:
-    doc = {
+    return json.dumps({
         "slow_count": model.slow_count,
         "periods": list(model.periods),
         "special_points": [
             {"pair": list(sp.pair), "trigger": list(sp.trigger)}
             for sp in model.special_points],
-    }
-    if model.site_labels is not None:
-        doc["site_labels"] = list(model.site_labels)
-    return json.dumps(doc, indent=2)
+    }, indent=2)
 
 
 def write_ensemble_csv(frequencies: np.ndarray, stream: IO[str]) -> None:

@@ -157,14 +157,18 @@ def permutation_matrix(law: PermutationLaw) -> np.ndarray:
 def cycle_spectrum(cycle_length: int) -> CycleSpectrum:
     """Eigenphases, eigenvectors and energies of a single cycle."""
     t = int(cycle_length)
+    energies, phases = _cycle_modes(t)
+    n = np.arange(t)
+    vectors = np.exp(2j * np.pi * n[:, None] * n[None, :] / t) / math.sqrt(t)
+    return CycleSpectrum(period=t, eigenphases=phases, eigenvectors=vectors, energies=energies)
+
+
+def _cycle_modes(t: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(energies, eigenphases)`` of a cycle of length t, without its eigenvectors."""
     if t < 1:
         raise ValueError("cycle length must be a positive integer")
     n = np.arange(t)
-    phases = np.exp(-2j * np.pi * n / t)
-    k = n[:, None]
-    vectors = np.exp(2j * np.pi * k * n[None, :] / t) / math.sqrt(t)
-    energies = 2.0 * np.pi * n / t
-    return CycleSpectrum(period=t, eigenphases=phases, eigenvectors=vectors, energies=energies)
+    return 2.0 * np.pi * n / t, np.exp(-2j * np.pi * n / t)
 
 
 def evolve_basis_state(law: PermutationLaw, k: int, t: int) -> int:
@@ -270,16 +274,14 @@ def cycles_report(decomp: CycleDecomposition) -> dict:
 
 
 def write_spectrum_csv(decomp: CycleDecomposition, stream: IO[str]) -> None:
-    """Per-cycle mode table: cycle_index, n, energy, re_phase, im_phase."""
+    """Per-cycle mode table: cycle_index, n, energy, re_phase, im_phase.
+
+    The values are :func:`cycle_spectrum`'s, but no eigenvector is built: the
+    work and memory per cycle are linear in its length.
+    """
     writer = csv.writer(stream)
     writer.writerow(["cycle_index", "n", "energy", "re_phase", "im_phase"])
     for ci, cycle in enumerate(decomp.cycles):
-        spec = cycle_spectrum(len(cycle))
-        for n in range(spec.period):
-            writer.writerow([
-                ci,
-                n,
-                repr(float(spec.energies[n])),
-                repr(float(spec.eigenphases[n].real)),
-                repr(float(spec.eigenphases[n].imag)),
-            ])
+        energies, phases = _cycle_modes(len(cycle))
+        for n, (energy, phase) in enumerate(zip(energies.tolist(), phases.tolist())):
+            writer.writerow([ci, n, repr(energy), repr(phase.real), repr(phase.imag)])

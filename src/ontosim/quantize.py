@@ -160,16 +160,18 @@ def evolution_operator(hamiltonian: np.ndarray, t: float) -> np.ndarray:
     return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
 
 
-def schrodinger_evolve(hamiltonian: np.ndarray, state: np.ndarray, t: float) -> np.ndarray:
-    """Evolve a state vector for time t under a Hermitian matrix.
+def schrodinger_evolve(hamiltonian: np.ndarray, state: np.ndarray,
+                       t: float | np.ndarray) -> np.ndarray:
+    """Evolve a state vector under a Hermitian matrix for time t.
 
+    ``t`` is a number, or a 1-d array of times for one state per row.
     Spectral decomposition keeps the norm exact up to rounding and is linear
     in the state by construction.
     """
     h = _require_hermitian(hamiltonian)
     psi = np.asarray(state, dtype=complex)
     evals, evecs = np.linalg.eigh(h)
-    return evecs @ (np.exp(-1j * evals * t) * (evecs.conj().T @ psi))
+    return (np.exp(-1j * np.multiply.outer(t, evals)) * (evecs.conj().T @ psi)) @ evecs.T
 
 
 def _require_hermitian(hamiltonian) -> np.ndarray:
@@ -218,16 +220,6 @@ class EffectiveHamiltonian:
             if pc.pair == key:
                 return pc.fraction
         return Fraction(0, 1)
-
-
-def ground_state_vector(model: fastslow.OntologicalModel, slow: int) -> np.ndarray:
-    """|slow> tensored with every clock in its uniform ground state."""
-    if not 0 <= slow < model.slow_count:
-        raise fastslow.ConfigError(f"unknown slow state {slow}")
-    p_total = model.phase_space_size
-    psi = np.zeros(model.ontic_space_size, dtype=complex)
-    psi[slow * p_total:(slow + 1) * p_total] = 1.0 / math.sqrt(p_total)
-    return psi
 
 
 def ground_delta_expectation(period: int, trigger: int = 0) -> Fraction:
@@ -305,13 +297,13 @@ def koopman_step_operator(model: fastslow.OntologicalModel) -> tuple[np.ndarray,
     permutation; a firing interchange is (pi/2)-rotation by sigma_y, a swap
     where the amplitude moving to the smaller slow index picks up -1).
     Returns ``(perm, sign)``: basis state f maps to sign[f] * |perm[f]>.
+    ``perm`` is the image of :func:`fastslow.step_map`, the flat table of
+    :func:`fastslow.step_tables`, and ``sign`` is -1 where it lowers the slow
+    state.
     """
-    rotated_flat, slow_image = fastslow.step_tables(model)
+    perm = fastslow.step_map(model).image
     p_total = model.phase_space_size
-    occupant = np.arange(model.slow_count, dtype=np.int64)[:, None]
-    new_slow = slow_image.T
-    perm = (new_slow * p_total + rotated_flat[None, :]).reshape(-1)
-    sign = np.where(new_slow < occupant, -1, 1).astype(np.int8).reshape(-1)
+    sign = np.where(perm // p_total < np.arange(perm.size) // p_total, -1, 1).astype(np.int8)
     return perm, sign
 
 
@@ -356,20 +348,19 @@ def compare_dynamics(model: fastslow.OntologicalModel, initial_slow: int, horizo
     p_total = model.phase_space_size
     classical = fastslow.enumerate_exact(model, initial_slow, horizon).fractions
 
+    # |initial_slow> with every clock in its uniform ground state: real, and
+    # the step is a real signed permutation, so psi stays real throughout
     perm, sign = koopman_step_operator(model)
-    psi = ground_state_vector(model, initial_slow)
+    psi = np.zeros(model.ontic_space_size)
+    psi[initial_slow * p_total:(initial_slow + 1) * p_total] = 1.0 / math.sqrt(p_total)
     quantum = np.empty((horizon + 1, n))
-    quantum[0] = (np.abs(psi) ** 2).reshape(n, p_total).sum(axis=1)
+    quantum[0] = (psi ** 2).reshape(n, p_total).sum(axis=1)
     for t in range(1, horizon + 1):
         psi = apply_koopman_step(perm, sign, psi)
-        quantum[t] = (np.abs(psi) ** 2).reshape(n, p_total).sum(axis=1)
+        quantum[t] = (psi ** 2).reshape(n, p_total).sum(axis=1)
 
-    eff = ground_project(model)
-    evals, evecs = np.linalg.eigh(eff.matrix)
-    amp0 = evecs.conj().T[:, initial_slow]
-    effective = np.empty((horizon + 1, n))
-    for t in range(horizon + 1):
-        effective[t] = np.abs(evecs @ (np.exp(-1j * evals * t) * amp0)) ** 2
+    effective = np.abs(schrodinger_evolve(
+        ground_project(model).matrix, np.eye(n)[initial_slow], np.arange(horizon + 1))) ** 2
 
     ensemble = (fastslow.run_ensemble(model, initial_slow, horizon, sample_count, seed)
                 if sample_count > 0 else None)
@@ -386,14 +377,16 @@ def compare_dynamics(model: fastslow.OntologicalModel, initial_slow: int, horizo
 
 
 def write_comparison_csv(comparison: DynamicsComparison, stream: IO[str]) -> None:
-    """Rows ``t, classical, full_quantum, effective`` (probability of having
-    left the initial slow state)."""
+    """Rows ``t, classical, full_quantum, effective[, ensemble]`` (probability
+    of having left the initial slow state); the ``ensemble`` column only when
+    the comparison carries a seeded ensemble."""
+    curves = {"classical": comparison.classical, "full_quantum": comparison.quantum,
+              "effective": comparison.effective, "ensemble": comparison.ensemble}
+    curves = {name: comparison.transition(c) for name, c in curves.items() if c is not None}
     writer = csv.writer(stream)
-    writer.writerow(["t", "classical", "full_quantum", "effective"])
-    curves = [comparison.transition(c) for c in
-              (comparison.classical, comparison.quantum, comparison.effective)]
+    writer.writerow(["t", *curves])
     for t in comparison.times:
-        writer.writerow([int(t)] + [repr(float(c[t])) for c in curves])
+        writer.writerow([int(t)] + [repr(float(c[t])) for c in curves.values()])
 
 
 # ---------------------------------------------------------------------------
@@ -421,21 +414,34 @@ def target_from_json(text: str) -> np.ndarray:
     doc = json.loads(text)
     try:
         n = ontodyn.json_int(doc["size"], "target field 'size'")
-        entries = list(doc.get("couplings", []))
+        entries = doc.get("couplings", [])
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise ValueError(f"target field 'couplings' must be a list of objects, not {entries!r}")
+        couplings = [(ontodyn.json_ints(entry["pair"], "target field 'pair'", 2),
+                      _json_real(entry["imag"], "target field 'imag'")) for entry in entries]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"target document missing field: {exc}") from exc
     t = np.zeros((n, n), dtype=complex)
-    for entry in entries:
-        a, b = ontodyn.json_ints(entry["pair"], "target field 'pair'", 2)
-        v = float(entry["imag"])
+    for (a, b), v in couplings:
         if not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"coupling references unknown state: {entry}")
+            raise ValueError(f"coupling references unknown state: {[a, b]}")
         if a == b:
             t[a, a] += 1j * v
         else:
             t[a, b] += 1j * v
             t[b, a] += -1j * v
     return t
+
+
+def _json_real(value, field: str) -> float:
+    """A JSON number, or a string ``float`` reads (standard JSON has no nan); a
+    boolean, null, list or object is refused with a ``ValueError`` naming ``field``."""
+    try:
+        if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+            return float(value)
+    except (ValueError, OverflowError):
+        pass
+    raise ValueError(f"{field} must be a number within float range, not {value!r}")
 
 
 def load_target(path) -> np.ndarray:

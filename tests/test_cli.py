@@ -40,6 +40,15 @@ class TestCycles:
         assert code == ExitCode.OK
         assert sum(json.loads(out)["ranks"]) == 140
 
+    @pytest.mark.parametrize("labels", [5, "ab"])
+    def test_unknown_model_fields_are_ignored(self, capsys, tmp_path, labels):
+        doc = json.loads(Path(TWO_STATE).read_text())
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**doc, "site_labels": labels}))
+        code, out, err = run(capsys, "cycles", "--input", str(path))
+        assert code == ExitCode.OK and "Traceback" not in err
+        assert out == run(capsys, "cycles", "--input", TWO_STATE)[1]
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "cycles", "--input", "/no/such/file.json")
         assert code == ExitCode.FILE_NOT_FOUND
@@ -193,6 +202,31 @@ class TestCompare:
         assert len(lines) == 5
         assert "classical - quantum" in err  # diagnostics only on stderr
 
+    def test_samples_add_the_seeded_ensemble_column(self, capsys, tmp_path):
+        argv = ["compare", "--input", TWO_STATE, "--horizon", "12", "--samples", "300"]
+        paths = []
+        for name, seed in (("a", "4"), ("b", "4"), ("c", "5")):
+            paths.append(tmp_path / f"{name}.csv")
+            code, _, _ = run(capsys, *argv, "--seed", seed, "--output", str(paths[-1]))
+            assert code == ExitCode.OK
+        lines = paths[0].read_text().splitlines()
+        assert lines[0] == "t,classical,full_quantum,effective,ensemble"
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert paths[0].read_bytes() != paths[2].read_bytes()
+        freq = fastslow.run_ensemble(fastslow.load_model(TWO_STATE), 0, 12, 300, seed=4)
+        assert [row.split(",")[4] for row in lines[1:]] == [repr(float(1.0 - f)) for f in freq[:, 0]]
+
+    def test_compile_comparison_carries_the_ensemble(self, capsys, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"size": 2, "couplings": [
+            {"pair": [0, 1], "imag": (math.pi / 2) / 110}]}))
+        code, _, _ = run(capsys, "compile", "--input", str(target), "--tolerance", "1e-6",
+                         "--output", str(tmp_path / "out"), "--horizon", "5",
+                         "--samples", "50", "--seed", "2")
+        assert code == ExitCode.OK
+        header = (tmp_path / "out" / "comparison.csv").read_text().splitlines()[0]
+        assert header == "t,classical,full_quantum,effective,ensemble"
+
 
 class TestBell:
     def test_bundle(self, capsys, tmp_path):
@@ -331,6 +365,15 @@ class TestStrictDocuments:
         ("cycles", {"size": 3.0, "image": [0, 1, 2]}, "size"),
         ("compile", {"size": 2.5, "couplings": []}, "size"),
         ("compile", {"size": 2, "couplings": [{"pair": [0, 1.0], "imag": 0.1}]}, "pair"),
+        ("compile", {"size": 2, "couplings": [5]}, "couplings"),
+        ("compile", {"size": 2, "couplings": {"pair": [0, 1], "imag": 0.1}}, "couplings"),
+        ("compile", {"size": 2, "couplings": [{"imag": 0.1}]}, "pair"),
+        ("compile", {"size": 2, "couplings": [{"pair": [0, 1]}]}, "imag"),
+        ("compile", {"size": 2, "couplings": [{"pair": [0, 1], "imag": None}]}, "imag"),
+        ("compile", {"size": 2, "couplings": [{"pair": [0, 1], "imag": [0.1]}]}, "imag"),
+        ("compile", {"size": 2, "couplings": [{"pair": [0, 1], "imag": True}]}, "imag"),
+        ("compile", {"size": 2, "couplings": [{"pair": [0, 1], "imag": "0.1x"}]}, "imag"),
+        ("compile", {"size": 2, "couplings": [{"pair": [0, 1], "imag": 10 ** 400}]}, "imag"),
     ])
     def test_non_integer_field_is_parse_error(self, capsys, tmp_path, command, doc, field):
         path = tmp_path / "doc.json"

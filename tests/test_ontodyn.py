@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -227,3 +228,34 @@ class TestSerialization:
         assert len(lines) == 3
         first = lines[1].split(",")
         assert first[:2] == ["0", "0"] and float(first[2]) == 0.0
+
+    def test_spectrum_csv_rows_are_the_cycle_spectra(self):
+        # cycles of lengths 1, 2, 3, 5 and 8, each listed from its smallest state
+        decomp = ontodyn.decompose(law(np.concatenate([
+            np.roll(np.arange(start, start + size), -1)
+            for start, size in ((0, 1), (1, 2), (3, 3), (6, 5), (11, 8))])))
+        buf = io.StringIO()
+        ontodyn.write_spectrum_csv(decomp, buf)
+        expected = ["cycle_index,n,energy,re_phase,im_phase"]
+        for ci, cycle in enumerate(decomp.cycles):
+            spec = ontodyn.cycle_spectrum(len(cycle))
+            expected += [f"{ci},{n},{float(spec.energies[n])!r},"
+                         f"{float(spec.eigenphases[n].real)!r},"
+                         f"{float(spec.eigenphases[n].imag)!r}" for n in range(len(cycle))]
+        assert buf.getvalue().splitlines() == expected
+
+    def test_spectrum_csv_of_a_long_cycle_builds_no_eigenvectors(self):
+        # cycle_spectrum(20_000) would need a 6.4 GB eigenvector matrix
+        size = 20_000
+        buf = io.StringIO()
+        start = time.perf_counter()
+        ontodyn.write_spectrum_csv(ontodyn.decompose(law(np.roll(np.arange(size), -1))), buf)
+        assert time.perf_counter() - start < 10.0
+        lines = buf.getvalue().splitlines()
+        assert len(lines) == size + 1
+        n = 12_345
+        row = lines[n + 1].split(",")
+        angle = 2.0 * math.pi * n / size
+        assert row[:3] == ["0", str(n), repr(angle)]
+        assert abs(float(row[3]) - math.cos(angle)) < 1e-12
+        assert abs(float(row[4]) + math.sin(angle)) < 1e-12

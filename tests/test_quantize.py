@@ -241,6 +241,17 @@ class TestSchrodingerEvolve:
             et = float(np.real(evolved.conj() @ h @ evolved))
             assert abs(et - e0) < 1e-9
 
+    def test_times_array_rows_match_scalar_calls(self):
+        rng = make_rng(27)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        h = (a + a.conj().T) / 2
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        times = np.array([0.0, 0.5, 3.0, 17.3, 250.0])
+        rows = quantize.schrodinger_evolve(h, psi, times)
+        assert rows.shape == (times.size, 4)
+        for t, row in zip(times, rows):
+            assert np.abs(row - quantize.schrodinger_evolve(h, psi, float(t))).max() < 1e-12
+
     def test_slow_space_evolution_is_real(self):
         eff = quantize.ground_project(two_state_model(10, 7))
         for t in (1.0, 17.0, 70.0):
@@ -262,6 +273,19 @@ class TestKoopman:
             u = (quantize.evolution_operator(inter.matrix, 1.0)
                  @ quantize.evolution_operator(h_fast, 1.0))
             assert np.abs(u - step_matrix(m)).max() < 1e-12
+
+    @pytest.mark.parametrize("seed", [31, 32, 33, 34])
+    def test_step_operator_is_the_step_map_image(self, seed):
+        # perm is the step map's image, and the sign is -1 exactly where the
+        # single-config step moves an occupant to a lower slow state
+        m = random_model(make_rng(seed), max_slow=4, max_period=6, max_points=6, min_slow=2)
+        perm, sign = quantize.koopman_step_operator(m)
+        assert np.array_equal(perm, fastslow.step_map(m).image)
+        for f in range(m.ontic_space_size):
+            config = fastslow.unflatten_config(m, f)
+            after = fastslow.step(m, config)
+            assert perm[f] == fastslow.flat_config(m, after.slow, after.phases)
+            assert sign[f] == (-1 if after.slow < config.slow else 1)
 
     def test_diagonal_probabilities_follow_classical(self):
         rng = make_rng(26)
