@@ -2,10 +2,11 @@
 
 Subcommands: cycles, spectrum, simulate, compile, compare, bell.  All angles
 in files and flags are degrees (converted at this boundary; the library works
-in radians).  A JSON config file may supply any option; command-line flags
-override config fields, and nothing is read from the environment.  Commands
-are deterministic given their inputs and seed.  Diagnostics go to stderr,
-data streams to the requested outputs only.
+in radians).  Each subcommand accepts exactly the options it reads
+(``_COMMANDS``), from flags or a JSON config file, flags overriding config
+fields, and checks them alike; nothing is read from the environment.
+Commands are deterministic given their inputs and seed.  Diagnostics go to
+stderr, data streams to the requested outputs only.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import warnings
 from contextlib import contextmanager
 from enum import IntEnum
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -77,66 +79,53 @@ def _warnings_against(path: str):
         print(f"ontosim: warning: {path}: {warning.message}", file=sys.stderr)
 
 
-def _opt(args, config: dict, key: str, default=None):
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
-
-
-def _count(args, config: dict, key: str, least: int, default=None) -> int | None:
-    """An integer option, refused with a usage error if not an integer or below ``least``."""
-    value = _opt(args, config, key, default)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise UsageError(f"--{key} must be an integer, not {value!r}")
-    if value < least:
-        raise UsageError(f"--{key} must be at least {least}, not {value}")
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"must be a string, not {value!r}")
     return value
 
 
-def _tolerance(args, config: dict) -> float:
-    """A required number, refused with a usage error unless finite and above 0."""
-    value = _require(_opt(args, config, "tolerance"), "tolerance")
+def _integer(least: int):
+    def check(value) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"must be an integer, not {value!r}")
+        if value < least:
+            raise ValueError(f"must be at least {least}, not {value}")
+        return value
+    return int, check
+
+
+def _positive(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
-        raise UsageError(f"--tolerance must be a finite number above 0, not {value!r}")
+        raise ValueError(f"must be a finite number above 0, not {value!r}")
     return float(value)
 
 
-def _require(value, name: str):
-    if value is None:
-        raise UsageError(f"missing required option --{name}")
-    return value
-
-
-def _parse_settings(text: str) -> tuple[float, float, float, float]:
+def _degrees(value) -> tuple[float, float, float, float]:
     try:
-        parts = [float(v) for v in str(text).split(",")]
+        parts = [float(v) for v in _text(value).split(",")]
     except ValueError:
         parts = []
     if len(parts) != 4 or not all(math.isfinite(v) for v in parts):
-        raise UsageError(f"--settings needs four finite degrees a,a',b,b', not {text!r}")
+        raise ValueError(f"must be four finite degrees a,a',b,b', not {value!r}")
     return tuple(math.radians(v) for v in parts)  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_cycles(args, config) -> int:
-    kind, obj = _load_law_or_model(_require(_opt(args, config, "input"), "input"))
+def _cmd_cycles(opts) -> int:
+    kind, obj = _load_law_or_model(opts.input)
     decomp = ontodyn.decompose(obj) if kind == "law" else fastslow.check_bijectivity(obj)
-    with _out_stream(_opt(args, config, "output")) as fh:
+    with _out_stream(opts.output) as fh:
         json.dump(ontodyn.cycles_report(decomp), fh)
         fh.write("\n")
     return ExitCode.OK
 
 
-def _cmd_spectrum(args, config) -> int:
-    kind, obj = _load_law_or_model(_require(_opt(args, config, "input"), "input"))
-    with _out_stream(_opt(args, config, "output")) as fh:
+def _cmd_spectrum(opts) -> int:
+    kind, obj = _load_law_or_model(opts.input)
+    with _out_stream(opts.output) as fh:
         if kind == "law":
             ontodyn.write_spectrum_csv(ontodyn.decompose(obj), fh)
         else:
@@ -151,25 +140,20 @@ def _cmd_spectrum(args, config) -> int:
     return ExitCode.OK
 
 
-def _cmd_simulate(args, config) -> int:
-    horizon = _require(_count(args, config, "horizon", 0), "horizon")
-    samples = _require(_count(args, config, "samples", 1), "samples")
-    seed = _require(_opt(args, config, "seed"), "seed")
-    initial = _count(args, config, "initial", 0, 0)
-    kind, model = _load_law_or_model(_require(_opt(args, config, "input"), "input"))
+def _cmd_simulate(opts) -> int:
+    kind, model = _load_law_or_model(opts.input)
     if kind != "model":
         raise UsageError("simulate needs a model file, not a permutation")
-    freq = fastslow.run_ensemble(model, initial, horizon, samples, seed)
-    with _out_stream(_opt(args, config, "output")) as fh:
+    freq = fastslow.run_ensemble(model, opts.initial, opts.horizon, opts.samples, opts.seed)
+    with _out_stream(opts.output) as fh:
         fastslow.write_ensemble_csv(freq, fh)
     return ExitCode.OK
 
 
-def _write_comparison(model, initial: int, horizon: int, samples: int, seed: int,
-                      dest: str | None) -> None:
+def _write_comparison(model, opts, dest: str | None) -> None:
     """Write the comparison CSV to ``dest`` and its residuals to stderr."""
-    comparison = quantize.compare_dynamics(model, initial, horizon,
-                                           sample_count=samples, seed=seed)
+    comparison = quantize.compare_dynamics(model, opts.initial, opts.horizon,
+                                           sample_count=opts.samples, seed=opts.seed)
     with _out_stream(dest) as fh:
         quantize.write_comparison_csv(comparison, fh)
     print(f"max |classical - quantum| = {comparison.max_classical_quantum:.3e}, "
@@ -177,74 +161,84 @@ def _write_comparison(model, initial: int, horizon: int, samples: int, seed: int
           file=sys.stderr)
 
 
-def _cmd_compile(args, config) -> int:
-    samples = _count(args, config, "samples", 0, 0)
-    initial = _count(args, config, "initial", 0, 0)
-    horizon = _count(args, config, "horizon", 0)
-    tolerance = _tolerance(args, config)
-    max_period = _count(args, config, "max-period", 1, 200)
-    path = _require(_opt(args, config, "input"), "input")
-    target = quantize.load_target(path)
-    out_dir = Path(_require(_opt(args, config, "output"), "output"))
+def _cmd_compile(opts) -> int:
+    target = quantize.load_target(opts.input)
+    out_dir = Path(opts.output)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    with _warnings_against(path):
-        model = quantize.compile_target(target, tolerance, max_period)
+    with _warnings_against(opts.input):
+        model = quantize.compile_target(target, opts.tolerance, opts.max_period)
     (out_dir / "model.json").write_text(fastslow.model_to_json(model) + "\n", encoding="utf-8")
-    report = {"tolerance": tolerance, "max_period": max_period,
+    report = {"tolerance": opts.tolerance, "max_period": opts.max_period,
               **quantize.compile_report(model, target)}
     (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    if horizon is not None:
-        _write_comparison(model, initial, horizon, samples, _opt(args, config, "seed", 0),
-                          str(out_dir / "comparison.csv"))
+    if opts.horizon is not None:
+        _write_comparison(model, opts, str(out_dir / "comparison.csv"))
     return ExitCode.OK
 
 
-def _cmd_compare(args, config) -> int:
-    horizon = _require(_count(args, config, "horizon", 0), "horizon")
-    samples = _count(args, config, "samples", 0, 0)
-    initial = _count(args, config, "initial", 0, 0)
-    kind, model = _load_law_or_model(_require(_opt(args, config, "input"), "input"))
+def _cmd_compare(opts) -> int:
+    kind, model = _load_law_or_model(opts.input)
     if kind != "model":
         raise UsageError("compare needs a model file, not a permutation")
-    _write_comparison(model, initial, horizon, samples, _opt(args, config, "seed", 0),
-                      _opt(args, config, "output"))
+    _write_comparison(model, opts, opts.output)
     return ExitCode.OK
 
 
-def _cmd_bell(args, config) -> int:
-    out_dir = Path(_require(_opt(args, config, "output"), "output"))
-    grid = _count(args, config, "grid", 1, 64)
-    samples = _count(args, config, "samples", 0, 100_000)
-    seed = _require(_opt(args, config, "seed"), "seed")
-    settings = _opt(args, config, "settings")
-    settings = (_parse_settings(settings) if settings is not None
-                else bellkit.STANDARD_SETTINGS)
-
+def _cmd_bell(opts) -> int:
+    out_dir = Path(opts.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "grid.csv", "w", encoding="utf-8", newline="") as fh:
-        bellkit.write_correlation_grid_csv(grid, fh)
+        bellkit.write_correlation_grid_csv(opts.grid, fh)
 
-    quad_result = bellkit.chsh_score(bellkit.correlated_expectation, *settings)
+    quad_result = bellkit.chsh_score(bellkit.correlated_expectation, *opts.settings)
     report = bellkit.chsh_report(quad_result)
-    report["S_quantum"] = bellkit.chsh_score(bellkit.quantum_correlation, *settings).score
-    if samples > 0:
+    report["S_quantum"] = bellkit.chsh_score(bellkit.quantum_correlation, *opts.settings).score
+    if opts.samples > 0:
         report["S_monte_carlo"] = bellkit.mc_chsh(
-            *settings, samples_per_setting=max(1, samples // 4), seed=seed).score
+            *opts.settings, samples_per_setting=max(1, opts.samples // 4), seed=opts.seed).score
     (out_dir / "chsh.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
     flatness = {name: bellkit.marginal_flatness(name) for name in ("lambda", "a", "b")}
     (out_dir / "flatness.json").write_text(json.dumps(flatness, indent=2) + "\n",
                                            encoding="utf-8")
 
-    if samples > 0:
-        triples = bellkit.sample_triples(samples, seed)
+    if opts.samples > 0:
+        triples = bellkit.sample_triples(opts.samples, opts.seed)
         with open(out_dir / "samples.csv", "w", encoding="utf-8", newline="") as fh:
             bellkit.write_samples_csv(triples, fh)
     return ExitCode.OK
 
 
 # ---------------------------------------------------------------------------
+# The option table: per subcommand, its handler, its help and each option it
+# reads, ``name: ((parse, check), default)``.  ``parse`` reads a flag's text;
+# ``check`` refuses a flag or config value of the wrong type or range with a
+# ValueError giving the reason.  Defaults are trusted as they stand.
+
+_REQUIRED = object()
+_PATH = (str, _text)
+_IO = {"input": (_PATH, _REQUIRED), "output": (_PATH, None)}
+_COMPARISON = {"initial": (_integer(0), 0), "samples": (_integer(0), 0), "seed": (_integer(0), 0)}
+
+_COMMANDS = {
+    "cycles": (_cmd_cycles, "cycle decomposition of a permutation or model step map", _IO),
+    "spectrum": (_cmd_spectrum, "per-cycle energies, or the free levels of a model", _IO),
+    "simulate": (_cmd_simulate, "seeded random-phase ensemble of a model", {
+        **_IO, "horizon": (_integer(0), _REQUIRED), "samples": (_integer(1), _REQUIRED),
+        "seed": (_integer(0), _REQUIRED), "initial": (_integer(0), 0)}),
+    "compile": (_cmd_compile, "build a model realizing a target effective Hamiltonian", {
+        "input": (_PATH, _REQUIRED), "output": (_PATH, _REQUIRED),
+        "tolerance": ((float, _positive), _REQUIRED), "max-period": (_integer(1), 200),
+        "horizon": (_integer(0), None), **_COMPARISON}),
+    "compare": (_cmd_compare, "classical vs full-quantum vs effective occupation curves", {
+        **_IO, "horizon": (_integer(0), _REQUIRED), **_COMPARISON}),
+    "bell": (_cmd_bell, "correlation grid, CHSH report, marginal flatness, sample dump", {
+        "output": (_PATH, _REQUIRED), "grid": (_integer(1), 64),
+        "samples": (_integer(0), 100_000), "seed": (_integer(0), _REQUIRED),
+        "settings": ((str, _degrees), bellkit.STANDARD_SETTINGS)}),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -252,34 +246,40 @@ def _build_parser() -> argparse.ArgumentParser:
         description="deterministic-model experiments: cycles, spectra, ensembles, "
                     "effective-Hamiltonian compilation, Bell/CHSH reports")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, handler):
-        p = sub.add_parser(name, help=help_text)
+    for command, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON file with default option values")
-        p.add_argument("--input")
-        p.add_argument("--output")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--horizon", type=int)
-        p.add_argument("--tolerance", type=float)
-        p.add_argument("--grid", type=int)
-        p.add_argument("--settings", help="a,a',b,b' in degrees")
-        p.add_argument("--initial", type=int)
-        p.add_argument("--max-period", type=int)
-        p.set_defaults(handler=handler)
-        return p
-
-    add("cycles", "cycle decomposition of a permutation or model step map", _cmd_cycles)
-    add("spectrum", "per-cycle energies, or the free levels of a model", _cmd_spectrum)
-    add("simulate", "seeded random-phase ensemble of a model", _cmd_simulate)
-    add("compile", "build a model realizing a target effective Hamiltonian", _cmd_compile)
-    add("compare", "classical vs full-quantum vs effective occupation curves", _cmd_compare)
-    add("bell", "correlation grid, CHSH report, marginal flatness, sample dump", _cmd_bell)
+        for name, ((parse, _), _) in options.items():
+            p.add_argument(f"--{name}", dest=name, type=parse, default=argparse.SUPPRESS)
     return parser
 
 
+def _resolve(command: str, flags: dict, config: dict) -> SimpleNamespace:
+    """Each option of ``command`` from its flag, else the config file, else its
+    default, checked the same way whichever source gave it."""
+    options = _COMMANDS[command][2]
+    for key in config:
+        if key not in options:
+            raise UsageError(f"config key {key!r} is not an option of {command}")
+    given = {**config, **flags}
+    values = {}
+    for name, ((_, check), value) in options.items():
+        if name in given:
+            try:
+                value = check(given[name])
+            except ValueError as exc:
+                raise UsageError(f"--{name} {exc}") from None
+        elif value is _REQUIRED:
+            raise UsageError(f"missing required option --{name}")
+        values[name.replace("-", "_")] = value
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage error (2) or help (0)
+        return exc.code
     config = {}
     try:
         if args.config:
@@ -287,9 +287,8 @@ def main(argv=None) -> int:
                 config = json.load(fh)
             if not isinstance(config, dict):
                 raise UsageError("config file must hold a JSON object")
-        _count(args, config, "seed", 0)
-        _count(args, config, "horizon", 0)
-        return int(args.handler(args, config))
+        opts = _resolve(args.command, vars(args), config)
+        return int(_COMMANDS[args.command][0](opts))
     except OSError as exc:
         if exc.filename is None:  # not about an input or output path
             raise

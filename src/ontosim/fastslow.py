@@ -452,6 +452,8 @@ def model_from_json(text: str) -> OntologicalModel:
         n = ontodyn.json_int(doc["slow_count"], "model field 'slow_count'")
         periods = tuple(ontodyn.json_ints(doc["periods"], "model field 'periods'"))
         raw_points = doc.get("special_points", [])
+        if not isinstance(raw_points, list) or not all(isinstance(e, dict) for e in raw_points):
+            raise ValueError("model field 'special_points' must be a list of objects")
         points = tuple(
             SpecialPoint(pair=ontodyn.json_ints(entry["pair"], "model field 'pair'", 2),
                          trigger=ontodyn.json_ints(entry["trigger"], "model field 'trigger'", 2))

@@ -241,7 +241,7 @@ def json_int(value, field: str) -> int:
 def json_ints(values, field: str, length: int | None = None) -> list[int]:
     """A list of :func:`json_int` values, of ``length`` entries if given."""
     if not isinstance(values, list) or (length is not None and len(values) != length):
-        size = "a list" if length is None else f"a list of {length}"
+        size = "a list of" if length is None else f"a list of {length}"
         raise ValueError(f"{field} must be {size} integers, not {values!r}")
     return [json_int(v, field) for v in values]
 

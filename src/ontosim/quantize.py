@@ -412,6 +412,8 @@ def validate_target(target) -> np.ndarray:
 def target_from_json(text: str) -> np.ndarray:
     """Parse ``{"size": N, "couplings": [{"pair": [a, b], "imag": v}, ...]}``."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("target document must be a JSON object")
     try:
         n = ontodyn.json_int(doc["size"], "target field 'size'")
         entries = doc.get("couplings", [])
@@ -563,17 +565,69 @@ def compile_report(model: fastslow.OntologicalModel, target) -> dict:
             "max_abs_error": max((p["abs_error"] for p in pairs), default=0.0)}
 
 
+def _shared_period_points(n: int, magnitudes: dict, tol_x: float,
+                          q: int) -> list[fastslow.SpecialPoint]:
+    """Trigger cells for every coupled pair with all coupled clocks at period q.
+
+    Counts are rounded against the common denominator q*q, and each state's
+    pairs take disjoint blocks of trigger values so that firing sets never
+    conflict.  A count off by more than ``tol_x`` or a state whose blocks
+    overflow its q values raises UnreachableToleranceError.
+    """
+    counts: dict[tuple[int, int], int] = {}
+    for pair, mag in sorted(magnitudes.items()):
+        x = mag / INTERCHANGE_WEIGHT
+        c = round(x * q * q)
+        if c > q * q or abs(x - c / (q * q)) > tol_x:
+            raise UnreachableToleranceError(
+                f"coupling {mag} for pair {pair} not reachable with shared period {q}")
+        if c:
+            counts[pair] = c
+    points = []
+    offsets = [0] * n
+    for pair in sorted(counts):
+        a, b = pair
+        side = math.isqrt(counts[pair] - 1) + 1
+        if offsets[a] + side > q or offsets[b] + side > q:
+            raise UnreachableToleranceError(
+                f"trigger budget of shared clocks exhausted at pair {pair}")
+        base_a, base_b = offsets[a], offsets[b]
+        offsets[a] += side
+        offsets[b] += side
+        cells = side * side
+        for j in range(counts[pair]):
+            idx = (j * cells) // counts[pair]
+            points.append(fastslow.SpecialPoint(
+                pair=pair, trigger=(base_a + idx // side, base_b + idx % side)))
+    return points
+
+
+def _checked_model(target: np.ndarray, periods: list[int], points: list,
+                   tolerance: float) -> fastslow.OntologicalModel:
+    """The machine of ``periods`` and ``points``, unless a :func:`compile_report`
+    entry is off by more than ``tolerance`` (UnreachableToleranceError)."""
+    model = fastslow.OntologicalModel(
+        slow_count=len(periods), periods=tuple(periods), special_points=tuple(points))
+    for entry in compile_report(model, target)["pairs"]:
+        if entry["abs_error"] > tolerance:
+            raise UnreachableToleranceError(
+                f"achieved coupling {entry['achieved']} for pair {tuple(entry['pair'])} "
+                f"misses target {entry['target']}")
+    return model
+
+
 def compile_target(target, tolerance: float, max_period: int) -> fastslow.OntologicalModel:
     """Build a machine whose effective Hamiltonian approximates the target.
 
     Per-pair magnitudes |H_ab| are matched by (pi/2) * points/(Pa*Pb) using
     continued-fraction approximants of 2|H_ab|/pi subject to the period cap.
     When slow states are shared between coupled pairs the clock periods are
-    tied together, so every coupled state gets the cap period and the point
-    counts are rounded against that common denominator.  Trigger cells are
+    tied together: every coupled state gets one shared period q, the largest
+    q <= ``max_period`` whose point counts over q*q meet the tolerance within
+    the trigger budget (:func:`_shared_period_points`).  Trigger cells are
     spread evenly and never collide on a shared clock, so the result always
-    passes the builder's conflict scan.  The first :func:`compile_report`
-    entry off by more than ``tolerance`` raises UnreachableToleranceError.
+    passes the builder's conflict scan.  If no :func:`compile_report` entry
+    can be brought within ``tolerance``, UnreachableToleranceError is raised.
     """
     t = validate_target(target)
     if not 0 < tolerance < math.inf:
@@ -589,11 +643,10 @@ def compile_target(target, tolerance: float, max_period: int) -> fastslow.Ontolo
             raise UnreachableToleranceError(
                 f"coupling {mag} for pair {pair} exceeds pi/2, the most any machine reaches")
 
-    periods = [1] * n
-    points: list[fastslow.SpecialPoint] = []
     degree = Counter(s for pair in magnitudes for s in pair)
-
     if max(degree.values(), default=0) <= 1:
+        periods = [1] * n
+        points: list[fastslow.SpecialPoint] = []
         for (a, b), mag in sorted(magnitudes.items()):
             count, (pa, pb) = _approximate_coupling(mag / INTERCHANGE_WEIGHT, tol_x, max_period)
             if count == 0:
@@ -602,41 +655,14 @@ def compile_target(target, tolerance: float, max_period: int) -> fastslow.Ontolo
             points.extend(
                 fastslow.SpecialPoint(pair=(a, b), trigger=trig)
                 for trig in _spread_points(pa, pb, count))
-    else:
-        q = max_period
-        counts: dict[tuple[int, int], int] = {}
-        for pair, mag in sorted(magnitudes.items()):
-            x = mag / INTERCHANGE_WEIGHT
-            c = round(x * q * q)
-            if c > q * q or abs(x - c / (q * q)) > tol_x:
-                raise UnreachableToleranceError(
-                    f"coupling {mag} for pair {pair} not reachable with shared period {q}")
-            if c:
-                counts[pair] = c
-        # Disjoint trigger-value blocks per state keep firing sets conflict free.
-        offsets = [0] * n
-        for pair in sorted(counts):
-            a, b = pair
-            side = math.isqrt(counts[pair] - 1) + 1
-            if offsets[a] + side > q or offsets[b] + side > q:
-                raise UnreachableToleranceError(
-                    f"trigger budget of shared clocks exhausted at pair {pair}")
-            base_a, base_b = offsets[a], offsets[b]
-            offsets[a] += side
-            offsets[b] += side
-            cells = side * side
-            for j in range(counts[pair]):
-                idx = (j * cells) // counts[pair]
-                points.append(fastslow.SpecialPoint(
-                    pair=pair, trigger=(base_a + idx // side, base_b + idx % side)))
-        for s in degree:
-            periods[s] = q
+        return _checked_model(t, periods, points, tolerance)
 
-    model = fastslow.OntologicalModel(
-        slow_count=n, periods=tuple(periods), special_points=tuple(points))
-    for entry in compile_report(model, t)["pairs"]:
-        if entry["abs_error"] > tolerance:
-            raise UnreachableToleranceError(
-                f"achieved coupling {entry['achieved']} for pair {tuple(entry['pair'])} "
-                f"misses target {entry['target']}")
-    return model
+    refusals = []
+    for q in range(max_period, 0, -1):
+        try:
+            points = _shared_period_points(n, magnitudes, tol_x, q)
+            periods = [q if s in degree else 1 for s in range(n)]
+            return _checked_model(t, periods, points, tolerance)
+        except UnreachableToleranceError as exc:
+            refusals.append(exc)
+    raise refusals[0]

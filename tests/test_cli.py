@@ -350,6 +350,74 @@ class TestCountOptions:
         assert f"--{field}" in err
 
 
+READS = {  # the options each subcommand reads
+    "cycles": {"input", "output"},
+    "spectrum": {"input", "output"},
+    "simulate": {"input", "output", "horizon", "samples", "seed", "initial"},
+    "compile": {"input", "output", "tolerance", "max-period", "horizon", "samples",
+                "initial", "seed"},
+    "compare": {"input", "output", "horizon", "samples", "initial", "seed"},
+    "bell": {"output", "grid", "samples", "seed", "settings"},
+}
+VALUES = {"input": FIGURE1, "output": "elsewhere", "seed": 1, "samples": 5, "horizon": 2,
+          "tolerance": 1e-3, "grid": 2, "settings": "0,45,22.5,67.5", "initial": 0,
+          "max-period": 7}  # a valid value of every option of some subcommand
+
+
+class TestOptionTable:
+    @staticmethod
+    def valid_argv(command, tmp_path):
+        """A valid invocation of ``command`` that writes to ``tmp_path / "out"``."""
+        target = tmp_path / "target.json"
+        target.write_text('{"size": 2, "couplings": []}')
+        out = str(tmp_path / "out")
+        return [command, "--output", out] + {
+            "cycles": ["--input", FIGURE1],
+            "spectrum": ["--input", FIGURE1],
+            "simulate": ["--input", TWO_STATE, "--horizon", "2", "--samples", "5", "--seed", "1"],
+            "compile": ["--input", str(target), "--tolerance", "1e-6"],
+            "compare": ["--input", TWO_STATE, "--horizon", "2"],
+            "bell": ["--grid", "2", "--samples", "0", "--seed", "1"],
+        }[command]
+
+    def refused(self, capsys, tmp_path, argv, name):
+        code, out, err = run(capsys, *argv)
+        assert code == ExitCode.USAGE
+        assert name in err and "Traceback" not in err
+        assert out == "" and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command, reads in READS.items()
+        for flag in VALUES if flag not in reads])
+    def test_unread_flag_is_usage_error(self, capsys, tmp_path, command, flag):
+        argv = self.valid_argv(command, tmp_path) + [f"--{flag}", str(VALUES[flag])]
+        self.refused(capsys, tmp_path, argv, f"--{flag}")
+
+    @pytest.mark.parametrize("command,key", [
+        (command, key) for command, reads in READS.items()
+        for key in [*VALUES, "max_period", "config"] if key not in reads])
+    def test_unread_config_key_is_usage_error(self, capsys, tmp_path, command, key):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: VALUES.get(key, 7)}))
+        argv = self.valid_argv(command, tmp_path) + ["--config", str(config)]
+        self.refused(capsys, tmp_path, argv, f"'{key}'")
+
+    @pytest.mark.parametrize("command,key,value", [
+        (command, key, value)
+        for command, key in [("cycles", "input"), ("cycles", "output"), ("simulate", "input"),
+                             ("compile", "input"), ("compile", "output"), ("bell", "output")]
+        for value in (7, [FIGURE1], None)
+    ] + [("compare", "seed", None), ("bell", "settings", None),
+         ("bell", "settings", [0, 45, 22.5, 67.5])])
+    def test_config_value_of_wrong_type(self, capsys, tmp_path, command, key, value):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: value}))
+        argv = self.valid_argv(command, tmp_path)
+        if f"--{key}" in argv:
+            del argv[argv.index(f"--{key}"):argv.index(f"--{key}") + 2]
+        self.refused(capsys, tmp_path, argv + ["--config", str(config)], f"--{key} must be")
+
+
 class TestStrictDocuments:
     @pytest.mark.parametrize("command,doc,field", [
         ("simulate", {"slow_count": 2, "periods": [10.7, 7],
@@ -374,6 +442,8 @@ class TestStrictDocuments:
         ("compile", {"size": 2, "couplings": [{"pair": [0, 1], "imag": True}]}, "imag"),
         ("compile", {"size": 2, "couplings": [{"pair": [0, 1], "imag": "0.1x"}]}, "imag"),
         ("compile", {"size": 2, "couplings": [{"pair": [0, 1], "imag": 10 ** 400}]}, "imag"),
+        ("cycles", {"slow_count": 2, "periods": [10, 7], "special_points": 5}, "special_points"),
+        ("cycles", {"slow_count": 2, "periods": [10, 7], "special_points": [5]}, "special_points"),
     ])
     def test_non_integer_field_is_parse_error(self, capsys, tmp_path, command, doc, field):
         path = tmp_path / "doc.json"
@@ -386,6 +456,14 @@ class TestStrictDocuments:
         code, _, err = run(capsys, command, "--input", str(path), *argv)
         assert code == ExitCode.PARSE_ERROR
         assert f"'{field}'" in err and "Traceback" not in err
+
+    def test_target_array_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "target.json"
+        path.write_text("[1, 2]")
+        code, _, err = run(capsys, "compile", "--input", str(path), "--tolerance", "1e-6",
+                           "--output", str(tmp_path / "out"))
+        assert code == ExitCode.PARSE_ERROR
+        assert "must be a JSON object" in err and "Traceback" not in err
 
 
 class TestCompileGuards:

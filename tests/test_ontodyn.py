@@ -216,6 +216,10 @@ class TestSerialization:
         with pytest.raises(ValueError):
             ontodyn.law_from_json('{"image": [0, 1]}')
 
+    def test_non_list_image_message(self):
+        with pytest.raises(ValueError, match="'image' must be a list of integers, not 5"):
+            ontodyn.law_from_json('{"size": 1, "image": 5}')
+
     def test_cycles_report_shape(self):
         report = ontodyn.cycles_report(ontodyn.decompose(law([1, 0, 2])))
         assert report == {"ranks": [1, 2], "cycles": [[0, 1], [2]]}

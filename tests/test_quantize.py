@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -425,6 +426,70 @@ class TestCompileTarget:
                 for b in range(a + 1, n):
                     achieved = quantize.INTERCHANGE_WEIGHT * float(eff.coupling((a, b)))
                     assert abs(achieved - abs(t[a, b].imag)) <= 1e-4
+
+    @staticmethod
+    def couplings_target(size: int, magnitudes: dict) -> np.ndarray:
+        t = np.zeros((size, size), dtype=complex)
+        for (a, b), v in magnitudes.items():
+            t[a, b], t[b, a] = 1j * v, -1j * v
+        return t
+
+    @staticmethod
+    def shared_period_works(target: np.ndarray, tolerance: float, q: int) -> bool:
+        """Brute force: every coupled pair has a count c <= q*q with
+        |(pi/2) c/q^2 - |H_ab|| <= tolerance, and each state's pairs fit in
+        disjoint blocks of q trigger values, a pair with c points taking the
+        least s with s*s >= c."""
+        counts = np.arange(q * q + 1)
+        used = [0] * target.shape[0]
+        for (a, b), mag in quantize._target_magnitudes(target).items():
+            errors = np.abs(quantize.INTERCHANGE_WEIGHT * counts / (q * q) - mag)
+            c = int(np.argmin(errors))
+            if errors[c] > tolerance:
+                return False
+            if c:
+                side = next(s for s in range(q + 1) if s * s >= c)
+                used[a] += side
+                used[b] += side
+        return max(used) <= q
+
+    @pytest.mark.parametrize("size,magnitudes", [
+        (3, {(0, 1): 0.027305, (1, 2): 0.000279}),
+        (4, {(1, 2): 0.0328, (1, 3): 0.2867, (2, 3): 0.000995}),
+    ])
+    def test_shared_period_below_the_cap(self, size, magnitudes):
+        # reachable only with a shared period below max_period (11 and 7)
+        target = self.couplings_target(size, magnitudes)
+        m = quantize.compile_target(target, 2e-3, 12)
+        assert quantize.compile_report(m, target)["max_abs_error"] <= 2e-3
+
+    def test_shared_period_search_is_complete(self):
+        # refused iff no shared period q <= max_period works; else the largest works
+        rng = make_rng(81)
+        outcomes = {"refused": 0, "at_cap": 0, "below_cap": 0}
+        for _ in range(1000):
+            n = int(rng.choice([3, 4]))
+            pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.7]
+            if max(Counter(s for pair in pairs for s in pair).values(), default=0) < 2:
+                continue  # no shared state: the per-pair path
+            target = self.couplings_target(
+                n, {pair: float(10 ** rng.uniform(-2.5, -0.5)) for pair in pairs})
+            tolerance = float(rng.choice([1e-2, 5e-3, 2e-3]))
+            max_period = int(rng.integers(1, 13))
+            working = [q for q in range(1, max_period + 1)
+                       if self.shared_period_works(target, tolerance, q)]
+            try:
+                m = quantize.compile_target(target, tolerance, max_period)
+            except quantize.UnreachableToleranceError:
+                assert working == [], (target, tolerance, max_period)
+                outcomes["refused"] += 1
+                continue
+            assert working, (target, tolerance, max_period)
+            coupled = {s for pair in pairs for s in pair}
+            assert {m.periods[s] for s in coupled} == {working[-1]}
+            assert quantize.compile_report(m, target)["max_abs_error"] <= tolerance
+            outcomes["at_cap" if working[-1] == max_period else "below_cap"] += 1
+        assert min(outcomes.values()) >= 10, outcomes  # both sides of the iff are exercised
 
     def test_compiled_model_passes_builder_and_projection(self):
         target = self.pair_target(0.0123)
