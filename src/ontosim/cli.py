@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import warnings
 from contextlib import contextmanager
@@ -50,23 +51,15 @@ def _out_stream(dest: str | None):
             yield fh
 
 
-def _load_document(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("input document must be a JSON object")
-    return doc, text
-
-
 def _load_law_or_model(path: str):
     """Return ('law', PermutationLaw) or ('model', OntologicalModel)."""
-    doc, text = _load_document(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = ontodyn.json_object(json.load(fh), "input document")
     if "image" in doc:
-        return "law", ontodyn.law_from_json(text)
+        return "law", ontodyn.law_from_doc(doc)
     if "slow_count" in doc:
         with _warnings_against(path):
-            return "model", fastslow.model_from_json(text)
+            return "model", fastslow.model_from_doc(doc)
     raise ValueError("input is neither a permutation ('image') nor a model ('slow_count')")
 
 
@@ -79,35 +72,41 @@ def _warnings_against(path: str):
         print(f"ontosim: warning: {path}: {warning.message}", file=sys.stderr)
 
 
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"must be a string, not {value!r}")
+# A number flag is read as the JSON number literal it spells, so it passes or
+# fails the same check as the config value would; any other text is kept as a
+# string for that check to refuse.
+_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+
+
+def _number(text: str):
+    if _NUMBER.fullmatch(text):
+        try:
+            return json.loads(text)
+        except ValueError:  # an integer too long to convert
+            pass
+    return text
+
+
+def _at_least(least: int):
+    return _number, lambda value, name: ontodyn.json_int(value, name, least)
+
+
+def _tolerance(value, name: str) -> float:
+    value = ontodyn.json_real(value, name)
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite number above 0, not {ontodyn.shown(value)}")
     return value
 
 
-def _integer(least: int):
-    def check(value) -> int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"must be an integer, not {value!r}")
-        if value < least:
-            raise ValueError(f"must be at least {least}, not {value}")
-        return value
-    return int, check
-
-
-def _positive(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
-        raise ValueError(f"must be a finite number above 0, not {value!r}")
-    return float(value)
-
-
-def _degrees(value) -> tuple[float, float, float, float]:
+def _degrees(value, name: str) -> tuple[float, float, float, float]:
     try:
-        parts = [float(v) for v in _text(value).split(",")]
+        parts = [ontodyn.json_real(_number(part), name)
+                 for part in ontodyn.json_text(value, name).split(",")]
     except ValueError:
         parts = []
     if len(parts) != 4 or not all(math.isfinite(v) for v in parts):
-        raise ValueError(f"must be four finite degrees a,a',b,b', not {value!r}")
+        raise ValueError(f"{name} must be four finite degrees a,a',b,b', "
+                         f"not {ontodyn.shown(value)}")
     return tuple(math.radians(v) for v in parts)  # type: ignore[return-value]
 
 
@@ -130,8 +129,8 @@ def _cmd_spectrum(opts) -> int:
             ontodyn.write_spectrum_csv(ontodyn.decompose(obj), fh)
         else:
             if obj.ontic_space_size > fastslow.ENUMERATION_CAP:
-                raise ontodyn.SizeCapError(
-                    f"ontic space {obj.ontic_space_size} too large for a spectrum table")
+                raise ontodyn.SizeCapError(f"ontic space {ontodyn.shown(obj.ontic_space_size)} "
+                                           "too large for a spectrum table")
             levels = quantize.free_energy_levels(obj)
             distinct, counts = np.unique(np.round(levels, 12), return_counts=True)
             fh.write("level,energy,multiplicity\n")
@@ -213,29 +212,31 @@ def _cmd_bell(opts) -> int:
 # ---------------------------------------------------------------------------
 # The option table: per subcommand, its handler, its help and each option it
 # reads, ``name: ((parse, check), default)``.  ``parse`` reads a flag's text;
-# ``check`` refuses a flag or config value of the wrong type or range with a
-# ValueError giving the reason.  Defaults are trusted as they stand.
+# ``check(value, "--name")`` is an ``ontodyn`` reader that refuses a flag or
+# config value of the wrong type or range with a ValueError naming the option.
+# Defaults are trusted as they stand.
 
 _REQUIRED = object()
-_PATH = (str, _text)
+_PATH = (str, ontodyn.json_text)
 _IO = {"input": (_PATH, _REQUIRED), "output": (_PATH, None)}
-_COMPARISON = {"initial": (_integer(0), 0), "samples": (_integer(0), 0), "seed": (_integer(0), 0)}
+_COMPARISON = {"initial": (_at_least(0), 0), "samples": (_at_least(0), 0),
+               "seed": (_at_least(0), 0)}
 
 _COMMANDS = {
     "cycles": (_cmd_cycles, "cycle decomposition of a permutation or model step map", _IO),
     "spectrum": (_cmd_spectrum, "per-cycle energies, or the free levels of a model", _IO),
     "simulate": (_cmd_simulate, "seeded random-phase ensemble of a model", {
-        **_IO, "horizon": (_integer(0), _REQUIRED), "samples": (_integer(1), _REQUIRED),
-        "seed": (_integer(0), _REQUIRED), "initial": (_integer(0), 0)}),
+        **_IO, "horizon": (_at_least(0), _REQUIRED), "samples": (_at_least(1), _REQUIRED),
+        "seed": (_at_least(0), _REQUIRED), "initial": (_at_least(0), 0)}),
     "compile": (_cmd_compile, "build a model realizing a target effective Hamiltonian", {
         "input": (_PATH, _REQUIRED), "output": (_PATH, _REQUIRED),
-        "tolerance": ((float, _positive), _REQUIRED), "max-period": (_integer(1), 200),
-        "horizon": (_integer(0), None), **_COMPARISON}),
+        "tolerance": ((_number, _tolerance), _REQUIRED), "max-period": (_at_least(1), 200),
+        "horizon": (_at_least(0), None), **_COMPARISON}),
     "compare": (_cmd_compare, "classical vs full-quantum vs effective occupation curves", {
-        **_IO, "horizon": (_integer(0), _REQUIRED), **_COMPARISON}),
+        **_IO, "horizon": (_at_least(0), _REQUIRED), **_COMPARISON}),
     "bell": (_cmd_bell, "correlation grid, CHSH report, marginal flatness, sample dump", {
-        "output": (_PATH, _REQUIRED), "grid": (_integer(1), 64),
-        "samples": (_integer(0), 100_000), "seed": (_integer(0), _REQUIRED),
+        "output": (_PATH, _REQUIRED), "grid": (_at_least(1), 64),
+        "samples": (_at_least(0), 100_000), "seed": (_at_least(0), _REQUIRED),
         "settings": ((str, _degrees), bellkit.STANDARD_SETTINGS)}),
 }
 
@@ -254,24 +255,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(command: str, flags: dict, config: dict) -> SimpleNamespace:
+def _resolve(command: str, flags: dict, config) -> SimpleNamespace:
     """Each option of ``command`` from its flag, else the config file, else its
     default, checked the same way whichever source gave it."""
     options = _COMMANDS[command][2]
-    for key in config:
-        if key not in options:
-            raise UsageError(f"config key {key!r} is not an option of {command}")
-    given = {**config, **flags}
     values = {}
-    for name, ((_, check), value) in options.items():
-        if name in given:
-            try:
-                value = check(given[name])
-            except ValueError as exc:
-                raise UsageError(f"--{name} {exc}") from None
-        elif value is _REQUIRED:
-            raise UsageError(f"missing required option --{name}")
-        values[name.replace("-", "_")] = value
+    try:
+        for key in ontodyn.json_object(config, "config file"):
+            if key not in options:
+                raise ValueError(f"config key {ontodyn.shown(key)} is not an option of {command}")
+        given = {**config, **flags}
+        for name, ((_, check), value) in options.items():
+            if name in given:
+                value = check(given[name], f"--{name}")
+            elif value is _REQUIRED:
+                raise ValueError(f"missing required option --{name}")
+            values[name.replace("-", "_")] = value
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return SimpleNamespace(**values)
 
 
@@ -285,21 +286,22 @@ def main(argv=None) -> int:
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:
                 config = json.load(fh)
-            if not isinstance(config, dict):
-                raise UsageError("config file must hold a JSON object")
         opts = _resolve(args.command, vars(args), config)
         return int(_COMMANDS[args.command][0](opts))
     except OSError as exc:
         if exc.filename is None:  # not about an input or output path
             raise
-        print(f"ontosim: file not found or not readable/writable: {exc.filename} "
-              f"({exc.strerror})", file=sys.stderr)
+        print("ontosim: file not found or not readable/writable: "
+              f"{ontodyn.shown(exc.filename)} ({exc.strerror})", file=sys.stderr)
         return ExitCode.FILE_NOT_FOUND
     except UsageError as exc:
         print(f"ontosim: {exc}", file=sys.stderr)
         return ExitCode.USAGE
     except json.JSONDecodeError as exc:
         print(f"ontosim: malformed JSON: {exc}", file=sys.stderr)
+        return ExitCode.PARSE_ERROR
+    except RecursionError:  # json's decoder, on a document nested too deeply
+        print("ontosim: malformed JSON: nested too deeply", file=sys.stderr)
         return ExitCode.PARSE_ERROR
     except ontodyn.SizeCapError as exc:
         print(f"ontosim: {exc}", file=sys.stderr)

@@ -51,6 +51,9 @@ import numpy as np
 from . import ontodyn
 
 ENUMERATION_CAP = 10 ** 6
+# A coupled pair's orbit keys reach 2 * P_a * P_b (:func:`_orbit_position`),
+# which stays below 2**63 for periods up to this.
+PERIOD_CAP = 2 ** 31 - 1
 
 
 class ModelValidationError(ValueError):
@@ -85,7 +88,8 @@ class SpecialPoint:
         a, b = (int(self.pair[0]), int(self.pair[1]))
         p, q = (int(self.trigger[0]), int(self.trigger[1]))
         if a == b:
-            raise ModelValidationError(f"special point pairs a state with itself: {a}")
+            raise ModelValidationError(
+                f"special point pairs a state with itself: {ontodyn.shown(a)}")
         if a > b:
             a, b, p, q = b, a, q, p
         object.__setattr__(self, "pair", (a, b))
@@ -130,7 +134,8 @@ def _validate_model(model: OntologicalModel) -> None:
         raise ModelValidationError("slow_count must be >= 1")
     if len(model.periods) != n:
         raise ModelValidationError(
-            f"need one clock period per slow state, got {len(model.periods)} for {n} states")
+            f"need one clock period per slow state, got {len(model.periods)} for "
+            f"{ontodyn.shown(n)} states")
     if any(p < 1 for p in model.periods):
         raise ModelValidationError("clock periods must be positive")
     small = [p for p in model.periods if p < 10]
@@ -151,20 +156,22 @@ def _validate_model(model: OntologicalModel) -> None:
     for sp in model.special_points:
         a, b = sp.pair
         if not (0 <= a < n and 0 <= b < n):
-            raise ModelValidationError(f"special point references unknown slow state: {sp.pair}")
+            raise ModelValidationError(
+                f"special point references unknown slow state: {ontodyn.shown(sp.pair)}")
         if not (0 <= sp.trigger[0] < model.periods[a] and 0 <= sp.trigger[1] < model.periods[b]):
             raise ModelValidationError(
-                f"trigger {sp.trigger} outside clock periods for pair {sp.pair}")
+                f"trigger {ontodyn.shown(sp.trigger)} outside clock periods for pair "
+                f"{ontodyn.shown(sp.pair)}")
         key = (sp.pair, sp.trigger)
         if key in seen:
-            raise ConflictingSwapError(f"duplicate special point {key}")
+            raise ConflictingSwapError(f"duplicate special point {ontodyn.shown(key)}")
         seen.add(key)
         for s, v in zip(sp.pair, sp.trigger):
             first = owner.setdefault((s, v), sp)
             if first.pair != sp.pair:
                 raise ConflictingSwapError(
-                    f"points {first} and {sp} can both fire on state {s} "
-                    f"(shared clock value {v})")
+                    f"points {ontodyn.shown(first)} and {ontodyn.shown(sp)} can both fire "
+                    f"on state {s} (shared clock value {ontodyn.shown(v)})")
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +274,8 @@ def step_tables(model: OntologicalModel) -> np.ndarray:
     """
     if model.ontic_space_size > ENUMERATION_CAP:
         raise ontodyn.SizeCapError(
-            f"ontic space {model.ontic_space_size} exceeds enumeration cap {ENUMERATION_CAP}")
+            f"ontic space {ontodyn.shown(model.ontic_space_size)} exceeds enumeration cap "
+            f"{ENUMERATION_CAP}")
     p_total = model.phase_space_size
     image = np.arange(model.slow_count, dtype=np.int64) * p_total
     for period, stride in zip(model.periods, phase_strides(model.periods)):
@@ -319,20 +327,36 @@ def run_ensemble(model: OntologicalModel, initial_slow: int, horizon: int,
     Samples jump from one state change to the next (:func:`_occupation_counts`):
     the work is O((samples + state changes) * log K) for K special points,
     whatever the horizon, and memory is O(samples * coupled pairs) besides
-    the (horizon+1, N) result.
+    the (horizon+1, N) result.  Both are capped at :data:`ENUMERATION_CAP`
+    (SizeCapError, raised before anything is allocated).
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    _check_run(model, initial_slow, horizon)
+    _check_run(model, initial_slow, horizon, "samples", sample_count)
     phases = random_phases(model, sample_count, phase_rng(seed))
     return _occupation_counts(model, initial_slow, horizon, phases) / sample_count
 
 
-def _check_run(model: OntologicalModel, initial_slow: int, horizon: int) -> None:
+def _check_run(model: OntologicalModel, initial_slow: int, horizon: int,
+               what: str, rows: int) -> None:
+    """Refuse an occupation count before it allocates anything: more than
+    :data:`ENUMERATION_CAP` rows (samples or phase combinations) or entries of
+    the (horizon+1, N) table, or a clock period beyond :data:`PERIOD_CAP`."""
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     if not 0 <= initial_slow < model.slow_count:
-        raise ConfigError(f"unknown slow state {initial_slow}")
+        raise ConfigError(f"unknown slow state {ontodyn.shown(initial_slow)}")
+    if rows > ENUMERATION_CAP:
+        raise ontodyn.SizeCapError(
+            f"{what} {ontodyn.shown(rows)} exceeds enumeration cap {ENUMERATION_CAP}")
+    if (horizon + 1) * model.slow_count > ENUMERATION_CAP:
+        raise ontodyn.SizeCapError(
+            f"occupation table of {ontodyn.shown(horizon + 1)} x {model.slow_count} entries "
+            f"exceeds enumeration cap {ENUMERATION_CAP}")
+    if max(model.periods) > PERIOD_CAP:
+        raise ontodyn.SizeCapError(
+            f"clock period {ontodyn.shown(max(model.periods))} exceeds {PERIOD_CAP}, "
+            "the largest whose orbit keys fit int64")
 
 
 def _orbit_position(period_a: int, period_b: int, x: np.ndarray,
@@ -432,12 +456,10 @@ def enumerate_exact(model: OntologicalModel, initial_slow: int, horizon: int) ->
     Same event-driven count as :func:`run_ensemble`, over all
     ``phase_space_size`` rows: O((rows + state changes) * log K) work and
     O(rows * coupled pairs) memory besides the result, independent of the
-    horizon.  The phase space is capped at :data:`ENUMERATION_CAP` rows.
+    horizon.  The phase space and the result are capped at
+    :data:`ENUMERATION_CAP` rows and entries.
     """
-    if model.phase_space_size > ENUMERATION_CAP:
-        raise ontodyn.SizeCapError(
-            f"phase space {model.phase_space_size} exceeds enumeration cap {ENUMERATION_CAP}")
-    _check_run(model, initial_slow, horizon)
+    _check_run(model, initial_slow, horizon, "phase space", model.phase_space_size)
     counts = _occupation_counts(model, initial_slow, horizon, _all_phase_rows(model))
     return ExactOccupation(counts=counts, total=model.phase_space_size)
 
@@ -447,19 +469,20 @@ def enumerate_exact(model: OntologicalModel, initial_slow: int, horizon: int) ->
 
 def model_from_json(text: str) -> OntologicalModel:
     """Parse ``{"slow_count": N, "periods": [...], "special_points": [...]}``."""
-    doc = json.loads(text)
-    try:
-        n = ontodyn.json_int(doc["slow_count"], "model field 'slow_count'")
-        periods = tuple(ontodyn.json_ints(doc["periods"], "model field 'periods'"))
-        raw_points = doc.get("special_points", [])
-        if not isinstance(raw_points, list) or not all(isinstance(e, dict) for e in raw_points):
-            raise ValueError("model field 'special_points' must be a list of objects")
-        points = tuple(
-            SpecialPoint(pair=ontodyn.json_ints(entry["pair"], "model field 'pair'", 2),
-                         trigger=ontodyn.json_ints(entry["trigger"], "model field 'trigger'", 2))
-            for entry in raw_points)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"model document missing field: {exc}") from exc
+    return model_from_doc(json.loads(text))
+
+
+def model_from_doc(doc) -> OntologicalModel:
+    """The model of a parsed :func:`model_from_json` document."""
+    doc = ontodyn.json_object(doc, "model document", ("slow_count", "periods"))
+    n = ontodyn.json_int(doc["slow_count"], "model field 'slow_count'")
+    periods = ontodyn.json_ints(doc["periods"], "model field 'periods'")
+    entries = ontodyn.json_objects(doc.get("special_points", []),
+                                   "model field 'special_points'", ("pair", "trigger"))
+    points = tuple(
+        SpecialPoint(pair=ontodyn.json_ints(entry["pair"], "model field 'pair'", 2),
+                     trigger=ontodyn.json_ints(entry["trigger"], "model field 'trigger'", 2))
+        for entry in entries)
     return OntologicalModel(slow_count=n, periods=periods, special_points=points)
 
 

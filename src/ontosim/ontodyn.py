@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import IO
 
@@ -45,7 +46,10 @@ class PermutationLaw:
     image: np.ndarray
 
     def __post_init__(self):
-        img = np.asarray(self.image, dtype=np.int64)
+        try:
+            img = np.asarray(self.image, dtype=np.int64)
+        except OverflowError:
+            raise MalformedLawError("image entries must lie in [0, size)") from None
         if img.ndim != 1 or img.size == 0:
             raise MalformedLawError("image must be a non-empty 1-d integer array")
         m = img.size
@@ -225,38 +229,98 @@ def spectral_decomposition(law: PermutationLaw) -> SpectralDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# input values: one reader per kind of value for documents, flags and config
+# files alike, and one rendering of an offending value for every message
 
-def json_int(value, field: str) -> int:
-    """An integer of an input document, checked, never coerced.
+_SHOWN = reprlib.Repr()
+_SHOWN.maxlevel, _SHOWN.maxlong, _SHOWN.maxstring, _SHOWN.maxother = 3, 20, 100, 100
 
-    A JSON float (``10.7``, but also ``10.0``), a boolean or a string is
-    refused with a ``ValueError`` that names ``field``.
-    """
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{field} must be an integer, not {value!r}")
+
+def shown(value) -> str:
+    """``value`` as a refusal message shows it: an abridged repr of at most
+    100 characters, whatever the size of the value."""
+    try:
+        text = _SHOWN.repr(value)
+    except ValueError:  # an integer too long to convert to a string
+        text = f"<an integer of {value.bit_length()} bits>"
+    return text if len(text) <= 100 else text[:97] + "..."
+
+
+def json_int(value, field: str, least: int | None = None) -> int:
+    """An integer, never coerced: a float (also ``10.0``), a boolean, a string
+    or a value below ``least`` is refused with a ``ValueError`` naming ``field``."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, not {shown(value)}")
+    if least is not None and value < least:
+        raise ValueError(f"{field} must be at least {least}, not {shown(value)}")
     return value
 
 
 def json_ints(values, field: str, length: int | None = None) -> list[int]:
     """A list of :func:`json_int` values, of ``length`` entries if given."""
-    if not isinstance(values, list) or (length is not None and len(values) != length):
+    if type(values) is not list or (length is not None and len(values) != length):
         size = "a list of" if length is None else f"a list of {length}"
-        raise ValueError(f"{field} must be {size} integers, not {values!r}")
-    return [json_int(v, field) for v in values]
+        raise ValueError(f"{field} must be {size} integers, not {shown(values)}")
+    for value in values:
+        if type(value) is not int:
+            json_int(value, field)
+    return values
 
+
+def json_real(value, field: str, text: bool = False) -> float:
+    """A number within float range as a float, maybe inf or nan; with ``text``
+    also a string ``float`` reads (JSON cannot write nan)."""
+    if type(value) in (int, float) or (text and type(value) is str):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ValueError(f"{field} must be a number within float range, not {shown(value)}")
+
+
+def json_text(value, field: str) -> str:
+    if type(value) is not str:
+        raise ValueError(f"{field} must be a string, not {shown(value)}")
+    return value
+
+
+def json_object(value, field: str, required: tuple[str, ...] = ()) -> dict:
+    """A JSON object holding every key of ``required``."""
+    if type(value) is not dict:
+        raise ValueError(f"{field} must be a JSON object, not {shown(value)}")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"{field} has no field {key!r}")
+    return value
+
+
+def json_objects(values, field: str, required: tuple[str, ...] = ()) -> list[dict]:
+    """A list of :func:`json_object` values; a refusal names the entry."""
+    if type(values) is not list:
+        raise ValueError(f"{field} must be a list of objects, not {shown(values)}")
+    keys = set(required)
+    for i, value in enumerate(values):
+        if type(value) is not dict or not value.keys() >= keys:
+            json_object(value, f"{field} entry {i}", required)
+    return values
+
+
+# ---------------------------------------------------------------------------
+# serialization
 
 def law_from_json(text: str) -> PermutationLaw:
     """Parse ``{"size": M, "image": [...]}``."""
-    doc = json.loads(text)
-    try:
-        size = json_int(doc["size"], "law field 'size'")
-        image = json_ints(doc["image"], "law field 'image'")
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"permutation document missing field: {exc}") from exc
+    return law_from_doc(json.loads(text))
+
+
+def law_from_doc(doc) -> PermutationLaw:
+    """The law of a parsed :func:`law_from_json` document."""
+    doc = json_object(doc, "permutation document", ("size", "image"))
+    size = json_int(doc["size"], "law field 'size'")
+    image = json_ints(doc["image"], "law field 'image'")
     if size != len(image):
-        raise MalformedLawError(f"declared size {size} != image length {len(image)}")
-    return PermutationLaw(np.asarray(image, dtype=np.int64))
+        raise MalformedLawError(f"declared size {shown(size)} != image length {len(image)}")
+    return PermutationLaw(image)
 
 
 def load_law(path) -> PermutationLaw:

@@ -40,6 +40,7 @@ if TYPE_CHECKING:  # imported where a matrix is built: most runs never need it
     import scipy.sparse as sparse
 
 FULL_HAMILTONIAN_CAP = 2 ** 14
+TARGET_CAP = 2 ** 10
 INTERCHANGE_CAP = 2 ** 22
 INTERCHANGE_WEIGHT = math.pi / 2
 
@@ -346,11 +347,15 @@ def compare_dynamics(model: fastslow.OntologicalModel, initial_slow: int, horizo
                      sample_count: int = 0, seed: int = 0) -> DynamicsComparison:
     n = model.slow_count
     p_total = model.phase_space_size
+    # each step below refuses its size caps before it allocates: the ontic
+    # space first, then the occupation table and the samples
+    perm, sign = koopman_step_operator(model)
     classical = fastslow.enumerate_exact(model, initial_slow, horizon).fractions
+    ensemble = (fastslow.run_ensemble(model, initial_slow, horizon, sample_count, seed)
+                if sample_count > 0 else None)
 
     # |initial_slow> with every clock in its uniform ground state: real, and
     # the step is a real signed permutation, so psi stays real throughout
-    perm, sign = koopman_step_operator(model)
     psi = np.zeros(model.ontic_space_size)
     psi[initial_slow * p_total:(initial_slow + 1) * p_total] = 1.0 / math.sqrt(p_total)
     quantum = np.empty((horizon + 1, n))
@@ -361,9 +366,6 @@ def compare_dynamics(model: fastslow.OntologicalModel, initial_slow: int, horizo
 
     effective = np.abs(schrodinger_evolve(
         ground_project(model).matrix, np.eye(n)[initial_slow], np.arange(horizon + 1))) ** 2
-
-    ensemble = (fastslow.run_ensemble(model, initial_slow, horizon, sample_count, seed)
-                if sample_count > 0 else None)
     return DynamicsComparison(
         initial_slow=initial_slow,
         times=np.arange(horizon + 1),
@@ -411,39 +413,25 @@ def validate_target(target) -> np.ndarray:
 
 def target_from_json(text: str) -> np.ndarray:
     """Parse ``{"size": N, "couplings": [{"pair": [a, b], "imag": v}, ...]}``."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("target document must be a JSON object")
-    try:
-        n = ontodyn.json_int(doc["size"], "target field 'size'")
-        entries = doc.get("couplings", [])
-        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-            raise ValueError(f"target field 'couplings' must be a list of objects, not {entries!r}")
-        couplings = [(ontodyn.json_ints(entry["pair"], "target field 'pair'", 2),
-                      _json_real(entry["imag"], "target field 'imag'")) for entry in entries]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"target document missing field: {exc}") from exc
+    doc = ontodyn.json_object(json.loads(text), "target document", ("size",))
+    n = ontodyn.json_int(doc["size"], "target field 'size'", 0)
+    entries = ontodyn.json_objects(doc.get("couplings", []), "target field 'couplings'",
+                                   ("pair", "imag"))
+    couplings = [(ontodyn.json_ints(entry["pair"], "target field 'pair'", 2),
+                  ontodyn.json_real(entry["imag"], "target field 'imag'", text=True))
+                 for entry in entries]
+    if n > TARGET_CAP:
+        raise SizeCapError(f"target size {ontodyn.shown(n)} exceeds cap {TARGET_CAP}")
     t = np.zeros((n, n), dtype=complex)
     for (a, b), v in couplings:
         if not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"coupling references unknown state: {[a, b]}")
+            raise ValueError(f"coupling references unknown state: {ontodyn.shown([a, b])}")
         if a == b:
             t[a, a] += 1j * v
         else:
             t[a, b] += 1j * v
             t[b, a] += -1j * v
     return t
-
-
-def _json_real(value, field: str) -> float:
-    """A JSON number, or a string ``float`` reads (standard JSON has no nan); a
-    boolean, null, list or object is refused with a ``ValueError`` naming ``field``."""
-    try:
-        if isinstance(value, (int, float, str)) and not isinstance(value, bool):
-            return float(value)
-    except (ValueError, OverflowError):
-        pass
-    raise ValueError(f"{field} must be a number within float range, not {value!r}")
 
 
 def load_target(path) -> np.ndarray:
@@ -522,7 +510,8 @@ def _approximate_coupling(x: float, tol_x: float, max_period: int):
         if factors is not None:
             return p, factors
     raise UnreachableToleranceError(
-        f"no rational coupling within {tol_x} of {x} with periods <= {max_period}")
+        f"no rational coupling within {tol_x} of {x} with periods <= "
+        f"{ontodyn.shown(max_period)}")
 
 
 def _spread_points(period_a: int, period_b: int, count: int) -> list[tuple[int, int]]:
@@ -541,6 +530,52 @@ def _target_magnitudes(target: np.ndarray) -> dict[tuple[int, int], float]:
     """|H_ab| for every pair a < b that a validated target couples."""
     rows, cols = np.nonzero(np.triu(target, 1))
     return {(int(a), int(b)): abs(float(target[a, b].imag)) for a, b in zip(rows, cols)}
+
+
+def _check_loop_signs(target: np.ndarray) -> None:
+    """Refuse a target whose coupling loops have a sign product no machine has.
+
+    Every machine has imag(H_ab) < 0 for a < b.  A basis sign change
+    D = diag(+-1) maps H to D H D, so any sign pattern on a forest of coupled
+    pairs is a gauge of the machine's, but the sign product around a loop is
+    gauge-invariant.  A walk fixes each state's sign on a spanning forest of
+    the coupled pairs; a pair that closes a fundamental loop with the wrong
+    sign raises NotRepresentableError naming that loop.
+    """
+    n = target.shape[0]
+    neighbours: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
+    rows, cols = np.nonzero(np.triu(target, 1))
+    for a, b in zip(rows.tolist(), cols.tolist()):
+        flip = bool(target[a, b].imag > 0)  # against the machine's sign
+        neighbours[a].append((b, flip))
+        neighbours[b].append((a, flip))
+    gauge = [0] * n  # each state's sign change, 0 until the walk reaches it
+    parent = [-1] * n
+    for root in range(n):
+        if gauge[root]:
+            continue
+        gauge[root] = 1
+        stack = [root]
+        while stack:
+            a = stack.pop()
+            for b, flip in neighbours[a]:
+                want = -gauge[a] if flip else gauge[a]
+                if not gauge[b]:
+                    gauge[b], parent[b] = want, a
+                    stack.append(b)
+                elif gauge[b] != want:
+                    up_a, up_b = [a], [b]
+                    while parent[up_a[-1]] >= 0:
+                        up_a.append(parent[up_a[-1]])
+                    while parent[up_b[-1]] >= 0:
+                        up_b.append(parent[up_b[-1]])
+                    while len(up_a) > 1 and len(up_b) > 1 and up_a[-2] == up_b[-2]:
+                        up_a.pop()
+                        up_b.pop()
+                    loop = [*up_a, *reversed(up_b[:-1]), a]
+                    raise NotRepresentableError(
+                        f"coupling loop {ontodyn.shown(loop)} has a sign product no machine "
+                        "has (every machine's H_ab, a < b, has imag < 0)")
 
 
 def compile_report(model: fastslow.OntologicalModel, target) -> dict:
@@ -630,6 +665,7 @@ def compile_target(target, tolerance: float, max_period: int) -> fastslow.Ontolo
     can be brought within ``tolerance``, UnreachableToleranceError is raised.
     """
     t = validate_target(target)
+    _check_loop_signs(t)
     if not 0 < tolerance < math.inf:
         raise ValueError("tolerance must be positive and finite")
     if max_period < 1:

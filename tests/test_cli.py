@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -554,3 +555,181 @@ def test_sparse_is_imported_only_to_build_a_hamiltonian():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+class TestBoundedMessages:
+    LONG = "x" * 600_000
+
+    @pytest.mark.parametrize("command,doc,name", [
+        ("compile", {"size": 2, "couplings": [5] * 200_000}, "'couplings'"),
+        ("compile", {"size": 2, "couplings": [{"pair": [0, 1], "imag": LONG}]}, "'imag'"),
+        ("cycles", {"size": 3, "image": LONG}, "'image'"),
+        ("simulate", {"slow_count": 2, "periods": {"a": LONG}}, "'periods'"),
+    ])
+    def test_document_refusal_does_not_echo_the_value(self, capsys, tmp_path, command, doc,
+                                                       name):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = {
+            "compile": ["--tolerance", "1e-6", "--output", str(tmp_path / "out")],
+            "cycles": [],
+            "simulate": ["--horizon", "2", "--samples", "5", "--seed", "1"],
+        }[command]
+        code, _, err = run(capsys, command, "--input", str(path), *argv)
+        assert code == ExitCode.PARSE_ERROR
+        assert name in err and len(err.encode()) <= 200
+
+    def test_config_key_refusal_does_not_echo_the_key(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({self.LONG: 1}))
+        code, _, err = run(capsys, "cycles", "--input", FIGURE1, "--config", str(config))
+        assert code == ExitCode.USAGE
+        assert "config key 'xxx" in err and len(err.encode()) <= 200
+
+    def test_flag_refusal_does_not_echo_the_value(self, capsys):
+        code, _, err = run(capsys, "simulate", "--input", TWO_STATE, "--horizon", "9" * 5000,
+                           "--samples", "5", "--seed", "1")
+        assert code == ExitCode.USAGE
+        assert "--horizon" in err and len(err.encode()) <= 200
+
+    def test_path_refusal_does_not_echo_the_path(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"input": "/" + self.LONG}))
+        code, _, err = run(capsys, "cycles", "--config", str(config))
+        assert code == ExitCode.FILE_NOT_FOUND
+        assert "'/xxx" in err and len(err.encode()) <= 200
+
+
+class TestStrictNumberFlags:
+    @pytest.mark.parametrize("command,flag,value", [
+        ("simulate", "--horizon", "1_0"),
+        ("simulate", "--samples", " 5"),
+        ("simulate", "--samples", "5 "),
+        ("simulate", "--horizon", "+5"),
+        ("simulate", "--horizon", "٥"),  # an Arabic-Indic five, which int() reads
+        ("simulate", "--horizon", "05"),
+        ("simulate", "--horizon", "1e1"),
+        ("simulate", "--seed", "1.0"),
+        ("compile", "--tolerance", "1_0e-6"),
+        ("compile", "--tolerance", " 1e-6"),
+        ("compile", "--tolerance", "+1e-6"),
+        ("compile", "--tolerance", ".5"),
+        ("compile", "--max-period", "0x10"),
+        ("bell", "--settings", "0,4_5,22.5,67.5"),
+        ("bell", "--settings", " 0,45,22.5,67.5"),
+    ])
+    def test_flag_is_read_as_a_json_number(self, capsys, tmp_path, command, flag, value):
+        # a flag accepts exactly what its config key accepts: a JSON number
+        target = tmp_path / "target.json"
+        target.write_text('{"size": 2, "couplings": []}')
+        options = {
+            "simulate": {"--input": TWO_STATE, "--horizon": "2", "--samples": "5", "--seed": "1"},
+            "compile": {"--input": str(target), "--tolerance": "1e-6",
+                        "--output": str(tmp_path / "out")},
+            "bell": {"--output": str(tmp_path / "out"), "--grid": "2", "--samples": "0",
+                     "--seed": "1"},
+        }[command]
+        options[flag] = value
+        argv = [item for pair in options.items() for item in pair]
+        code, out, err = run(capsys, command, *argv)
+        assert code == ExitCode.USAGE
+        assert flag in err and "Traceback" not in err
+        assert out == "" and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("tolerance", ["1e-6", "1E-6", "0.000001", "1.0e-6"])
+    def test_json_number_spellings_are_accepted(self, capsys, tmp_path, tolerance):
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"size": 2, "couplings": [
+            {"pair": [0, 1], "imag": (math.pi / 2) / 70}]}))
+        code, _, _ = run(capsys, "compile", "--input", str(target), "--tolerance", tolerance,
+                         "--max-period", "100", "--output", str(tmp_path / "out"))
+        assert code == ExitCode.OK
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["tolerance"] == 1e-6
+
+
+def test_each_input_file_is_parsed_once(capsys, tmp_path, monkeypatch):
+    parsed = []
+    loads = json.loads
+
+    def counting_loads(text, *args, **kwargs):  # json.load reads through json.loads too
+        parsed.append(text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    target = tmp_path / "target.json"
+    target.write_text('{"size": 2, "couplings": [{"pair": [0, 1], "imag": 0.02}]}')
+    config = tmp_path / "cfg.json"
+    config.write_text('{"seed": 3}')
+    runs = [(["cycles", "--input", TWO_STATE], TWO_STATE),
+            (["cycles", "--input", FIGURE1], FIGURE1),
+            (["compare", "--input", TWO_STATE, "--horizon", "2", "--config", str(config)],
+             TWO_STATE),
+            (["compile", "--input", str(target), "--tolerance", "1e-3",
+              "--output", str(tmp_path / "out")], str(target))]
+    for argv, path in runs:
+        parsed.clear()
+        assert cli.main(argv) == ExitCode.OK
+        files = [Path(path).read_text(), config.read_text()]
+        assert [parsed.count(text) for text in files] == [1, int("--config" in argv)]
+    capsys.readouterr()
+
+
+def test_deeply_nested_document_is_parse_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, err = run(capsys, "cycles", "--input", str(path))
+    assert code == ExitCode.PARSE_ERROR
+    assert "nested too deeply" in err
+
+
+class TestLoopSigns:
+    H = (math.pi / 2) / 400
+
+    def compile(self, capsys, tmp_path, signs):
+        target = tmp_path / "triangle.json"
+        target.write_text(json.dumps({"size": 3, "couplings": [
+            {"pair": pair, "imag": sign * self.H}
+            for pair, sign in zip([[0, 1], [1, 2], [0, 2]], signs)]}))
+        return run(capsys, "compile", "--input", str(target), "--tolerance", "1e-6",
+                   "--max-period", "20", "--output", str(tmp_path / "out"))
+
+    def test_loop_of_the_wrong_sign_is_not_representable(self, capsys, tmp_path):
+        code, _, err = self.compile(capsys, tmp_path, (1, 1, 1))
+        assert code == ExitCode.NOT_REPRESENTABLE
+        assert "coupling loop [2, 0, 1, 2]" in err
+
+    def test_gauge_of_the_machine_compiles_as_before(self, capsys, tmp_path):
+        code, _, _ = self.compile(capsys, tmp_path, (1, 1, -1))
+        assert code == ExitCode.OK
+        assert json.loads((tmp_path / "out" / "model.json").read_text()) == {
+            "slow_count": 3, "periods": [20, 20, 20], "special_points": [
+                {"pair": [0, 1], "trigger": [0, 0]}, {"pair": [0, 2], "trigger": [1, 0]},
+                {"pair": [1, 2], "trigger": [1, 1]}]}
+
+
+def test_size_caps_refuse_before_allocating(tmp_path):
+    # under a 3 GiB address-space limit an unchecked (horizon+1) x N table or
+    # sample draw ends in MemoryError; the caps must refuse first (exit 6)
+    code = textwrap.dedent("""
+        import json, resource, sys, warnings
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 2 ** 30, 3 * 2 ** 30))
+        warnings.simplefilter("ignore")
+        from ontosim import cli, fastslow, quantize
+        model = sys.argv[1]
+        runs = [["simulate", "--input", model, "--horizon", "1000000000", "--samples", "1",
+                 "--seed", "0"],
+                ["simulate", "--input", model, "--horizon", "5", "--samples", "1000000000",
+                 "--seed", "0"],
+                ["compare", "--input", model, "--horizon", "1000000000"],
+                ["compare", "--input", model, "--horizon", "5", "--samples", "1000000000"]]
+        print(json.dumps([cli.main(argv) for argv in runs]))
+        """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code, TWO_STATE], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert "Traceback" not in proc.stderr, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == [ExitCode.SIZE_CAP] * 4
+    assert proc.stderr.count("exceeds enumeration cap") == 4

@@ -276,3 +276,36 @@ class TestFlatIndexing:
         for flat in range(m.ontic_space_size):
             c = fastslow.unflatten_config(m, flat)
             assert fastslow.flat_config(m, c.slow, c.phases) == flat
+
+
+class TestInputChecks:
+    def test_document_that_is_not_an_object(self):
+        with pytest.raises(ValueError, match=r"^model document must be a JSON object, not \[1\]$"):
+            fastslow.model_from_json("[1]")
+
+    def test_missing_point_field_is_named(self):
+        doc = '{"slow_count": 2, "periods": [3, 4], "special_points": [{"pair": [0, 1]}]}'
+        with pytest.raises(ValueError, match="'special_points' entry 0 has no field 'trigger'"):
+            fastslow.model_from_json(doc)
+
+    @pytest.mark.parametrize("sample_count,horizon", [
+        (fastslow.ENUMERATION_CAP + 1, 3),
+        (5, fastslow.ENUMERATION_CAP // 2),  # (horizon + 1) * 2 table entries
+    ])
+    def test_run_caps(self, sample_count, horizon):
+        with pytest.raises(ontodyn.SizeCapError, match="exceeds enumeration cap"):
+            fastslow.run_ensemble(two_state_model(11, 13), 0, horizon, sample_count, seed=1)
+
+    def test_table_cap_of_the_exact_count(self):
+        with pytest.raises(ontodyn.SizeCapError, match="occupation table"):
+            fastslow.enumerate_exact(two_state_model(11, 13), 0, fastslow.ENUMERATION_CAP // 2)
+
+    def test_period_cap(self):
+        # orbit keys 2 * P_a * P_b of a larger period would not fit int64
+        m = fastslow.OntologicalModel(2, (fastslow.PERIOD_CAP + 1, 3),
+                                      (fastslow.SpecialPoint((0, 1), (0, 0)),))
+        with pytest.raises(ontodyn.SizeCapError, match="clock period"):
+            fastslow.run_ensemble(m, 0, 5, 10, seed=1)
+        m = fastslow.OntologicalModel(2, (fastslow.PERIOD_CAP, 3),
+                                      (fastslow.SpecialPoint((0, 1), (0, 0)),))
+        assert fastslow.run_ensemble(m, 0, 5, 10, seed=1).shape == (6, 2)

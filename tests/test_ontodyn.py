@@ -263,3 +263,54 @@ class TestSerialization:
         assert row[:3] == ["0", str(n), repr(angle)]
         assert abs(float(row[3]) - math.cos(angle)) < 1e-12
         assert abs(float(row[4]) + math.sin(angle)) < 1e-12
+
+
+class TestInputReaders:
+    def test_document_that_is_not_an_object(self):
+        with pytest.raises(ValueError, match=r"^permutation document must be a JSON object, "
+                                             r"not \[1\]$"):
+            ontodyn.law_from_json("[1]")
+
+    def test_missing_field_is_named(self):
+        with pytest.raises(ValueError, match="permutation document has no field 'size'"):
+            ontodyn.law_from_json('{"image": [0, 1]}')
+
+    def test_image_beyond_int64_is_malformed(self):
+        with pytest.raises(ontodyn.MalformedLawError):
+            ontodyn.law_from_json('{"size": 2, "image": [0, %d]}' % 2 ** 70)
+
+    @pytest.mark.parametrize("value", [
+        "x" * 10 ** 6, [5] * 10 ** 6, {str(i): i for i in range(1000)}, 7 ** 5000,
+        [[[[["x" * 1000] * 50] * 50]]], 10 ** 5000],
+        ids=["string", "list", "dict", "integer", "nested", "integer-beyond-str"])
+    def test_shown_is_bounded(self, value):
+        assert len(ontodyn.shown(value)) <= 100
+
+    def test_shown_keeps_short_values_whole(self):
+        assert ontodyn.shown([7]) == "[7]"
+        assert ontodyn.shown("/tmp/a/b.json") == "'/tmp/a/b.json'"
+
+    @pytest.mark.parametrize("value,message", [
+        (True, "must be an integer, not True"),
+        (2.0, "must be an integer, not 2.0"),
+        ("2", "must be an integer, not '2'"),
+        (-1, "must be at least 0, not -1"),
+    ])
+    def test_json_int(self, value, message):
+        with pytest.raises(ValueError, match=f"^--n {message}$"):
+            ontodyn.json_int(value, "--n", 0)
+
+    def test_json_objects_names_the_entry(self):
+        with pytest.raises(ValueError, match="^f entry 1 has no field 'b'$"):
+            ontodyn.json_objects([{"a": 1, "b": 2}, {"a": 1}], "f", ("a", "b"))
+        with pytest.raises(ValueError, match="^f entry 0 must be a JSON object, not 5$"):
+            ontodyn.json_objects([5] * 100_000, "f")
+
+    @pytest.mark.parametrize("value", [True, None, [1.0], "0.5", 10 ** 400])
+    def test_json_real_refusals(self, value):
+        with pytest.raises(ValueError, match="must be a number within float range"):
+            ontodyn.json_real(value, "f")
+
+    def test_json_real_reads_text_only_when_asked(self):
+        assert math.isnan(ontodyn.json_real("nan", "f", text=True))
+        assert ontodyn.json_real(3, "f") == 3.0 and type(ontodyn.json_real(3, "f")) is float

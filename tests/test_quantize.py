@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 from collections import Counter
@@ -418,8 +419,8 @@ class TestCompileTarget:
                 for b in range(a + 1, n):
                     if rng.random() < 0.6:
                         v = float(rng.uniform(0.001, 0.04))
-                        t[a, b] = 1j * v
-                        t[b, a] = -1j * v
+                        t[a, b] = -1j * v  # the machine's sign: loops stay representable
+                        t[b, a] = 1j * v
             m = quantize.compile_target(t, 1e-4, 200)
             eff = quantize.ground_project(m)
             for a in range(n):
@@ -429,9 +430,10 @@ class TestCompileTarget:
 
     @staticmethod
     def couplings_target(size: int, magnitudes: dict) -> np.ndarray:
+        """The machine's sign on every pair, so loops stay representable."""
         t = np.zeros((size, size), dtype=complex)
         for (a, b), v in magnitudes.items():
-            t[a, b], t[b, a] = 1j * v, -1j * v
+            t[a, b], t[b, a] = -1j * v, 1j * v
         return t
 
     @staticmethod
@@ -511,7 +513,7 @@ class TestCompileTarget:
         for a in range(n):
             for b in range(a + 1, n):
                 v = data.draw(st.one_of(st.just(0.0), st.floats(1e-4, 0.3)))
-                t[a, b], t[b, a] = 1j * v, -1j * v
+                t[a, b], t[b, a] = -1j * v, 1j * v  # the machine's sign
         try:
             m = quantize.compile_target(t, tolerance, max_period)
         except quantize.UnreachableToleranceError:
@@ -570,3 +572,65 @@ class TestSerialization:
         t = quantize.target_from_json('{"size": 2, "couplings": [{"pair": [1, 1], "imag": 0.5}]}')
         with pytest.raises(quantize.NotRepresentableError):
             quantize.validate_target(t)
+
+
+class TestLoopSigns:
+    H = (math.pi / 2) / 400
+
+    def triangle(self, signs) -> np.ndarray:
+        t = np.zeros((3, 3), dtype=complex)
+        for (a, b), sign in zip([(0, 1), (1, 2), (0, 2)], signs):
+            t[a, b], t[b, a] = 1j * sign * self.H, -1j * sign * self.H
+        return t
+
+    def test_loop_of_the_wrong_sign_is_refused(self):
+        # it compiled at max_abs_error 0.0 while its occupations differed from
+        # the target's by up to 0.997 over t = 50...300
+        target = self.triangle((1, 1, 1))
+        with pytest.raises(quantize.NotRepresentableError, match=r"coupling loop \[2, 0, 1, 2\]"):
+            quantize.compile_target(target, 1e-6, 20)
+
+    def test_gauge_of_the_machine_compiles_as_the_machine_sign(self):
+        gauge = quantize.compile_target(self.triangle((1, 1, -1)), 1e-6, 20)
+        assert gauge == quantize.compile_target(self.triangle((-1, -1, -1)), 1e-6, 20)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_refused_or_same_dynamics(self, data):
+        # exact magnitudes (pi/2) k/144 with random signs: the compile is exact
+        # at shared period 12, so the only refusal left is the loop sign, which
+        # a brute force over every basis sign change D = diag(+-1) decides
+        n = data.draw(st.sampled_from([3, 4]))
+        t = np.zeros((n, n), dtype=complex)
+        for a in range(n):
+            for b in range(a + 1, n):
+                v = data.draw(st.integers(-16, 16)) * quantize.INTERCHANGE_WEIGHT / 144
+                t[a, b], t[b, a] = 1j * v, -1j * v
+        upper = np.triu_indices(n, 1)
+        representable = any(np.all((np.outer(d, d) * t)[upper].imag <= 0)
+                            for d in itertools.product((1, -1), repeat=n))
+        try:
+            m = quantize.compile_target(t, 1e-9, 12)
+        except quantize.NotRepresentableError:
+            assert not representable
+            return
+        assert representable
+        h_eff = quantize.ground_project(m).matrix
+        for time in (1.0, 7.0, 40.0, 150.0):
+            target_u = np.abs(quantize.evolution_operator(t, time))
+            assert np.abs(target_u - np.abs(quantize.evolution_operator(h_eff, time))).max() <= 1e-9
+
+
+def test_compare_checks_the_ontic_cap_first(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumerate_exact ran before the ontic space was checked")
+
+    monkeypatch.setattr(fastslow, "enumerate_exact", no_enumeration)
+    with pytest.raises(ontodyn.SizeCapError, match="ontic space 1998000"):
+        quantize.compare_dynamics(two_state_model(1000, 999), 0, 5)
+
+
+def test_target_size_cap():
+    doc = json.dumps({"size": quantize.TARGET_CAP + 1, "couplings": []})
+    with pytest.raises(ontodyn.SizeCapError, match="target size"):
+        quantize.target_from_json(doc)
