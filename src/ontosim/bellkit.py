@@ -33,10 +33,16 @@ from typing import IO, Callable, Sequence
 
 import numpy as np
 
+from .ontodyn import SizeCapError, shown
+
 CLASSICAL_BOUND = 2.0
 QUANTUM_MAX = 2.0 * math.sqrt(2.0)
 # (a, a', b, b') in radians: 0, 45, 22.5 and 67.5 degrees.
 STANDARD_SETTINGS = (0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)
+# Work caps: a correlation grid costs one quadrature per cell (grid_size**2
+# cells), a sample about a hundred bytes while drawn and one CSV row.
+GRID_CAP = 256
+SAMPLE_CAP = 10 ** 6
 
 
 class NonNormalizedDensityError(ValueError):
@@ -334,10 +340,16 @@ class TripleSamples:
     outcome_b: np.ndarray
 
 
+def _check_samples(count: int) -> None:
+    if count > SAMPLE_CAP:
+        raise SizeCapError(f"{shown(count)} samples exceed cap {SAMPLE_CAP}")
+
+
 def sample_triples(count: int, seed: int) -> TripleSamples:
     """Uniform settings on [0, pi)^2, then lambda from the conditional density."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    _check_samples(count)
     rng = bell_rng(seed)
     a = rng.random(count) * math.pi
     b = rng.random(count) * math.pi
@@ -355,6 +367,7 @@ def mc_correlation(a: float, b: float, count: int, rng: np.random.Generator) -> 
 def mc_chsh(a: float, a_prime: float, b: float, b_prime: float,
             samples_per_setting: int, seed: int) -> ChshResult:
     """CHSH score of the correlated model estimated by Monte Carlo."""
+    _check_samples(samples_per_setting)
     rng = bell_rng(seed)
     return chsh_score(lambda x, y: mc_correlation(x, y, samples_per_setting, rng),
                       a, a_prime, b, b_prime)
@@ -365,6 +378,8 @@ def mc_chsh(a: float, a_prime: float, b: float, b_prime: float,
 
 def write_correlation_grid_csv(grid_size: int, stream: IO[str]) -> None:
     """Rows ``a_deg, b_deg, E_quant, E_correlated, abs_err`` over a uniform grid."""
+    if grid_size > GRID_CAP:
+        raise SizeCapError(f"grid size {shown(grid_size)} exceeds cap {GRID_CAP}")
     writer = csv.writer(stream)
     writer.writerow(["a_deg", "b_deg", "E_quant", "E_correlated", "abs_err"])
     grid = np.linspace(0.0, math.pi, grid_size, endpoint=False)

@@ -87,8 +87,15 @@ def _number(text: str):
     return text
 
 
-def _at_least(least: int):
-    return _number, lambda value, name: ontodyn.json_int(value, name, least)
+def _at_least(least: int, cap: int | None = None):
+    """An integer option of at least ``least``; above ``cap`` it is refused as
+    too much work (SizeCapError, exit 6)."""
+    def check(value, name: str) -> int:
+        value = ontodyn.json_int(value, name, least)
+        if cap is not None and value > cap:
+            raise ontodyn.SizeCapError(f"{name} {ontodyn.shown(value)} exceeds cap {cap}")
+        return value
+    return _number, check
 
 
 def _tolerance(value, name: str) -> float:
@@ -213,7 +220,8 @@ def _cmd_bell(opts) -> int:
 # The option table: per subcommand, its handler, its help and each option it
 # reads, ``name: ((parse, check), default)``.  ``parse`` reads a flag's text;
 # ``check(value, "--name")`` is an ``ontodyn`` reader that refuses a flag or
-# config value of the wrong type or range with a ValueError naming the option.
+# config value of the wrong type or range with a ValueError naming the option,
+# or a work size above its cap with a SizeCapError.
 # Defaults are trusted as they stand.
 
 _REQUIRED = object()
@@ -230,13 +238,14 @@ _COMMANDS = {
         "seed": (_at_least(0), _REQUIRED), "initial": (_at_least(0), 0)}),
     "compile": (_cmd_compile, "build a model realizing a target effective Hamiltonian", {
         "input": (_PATH, _REQUIRED), "output": (_PATH, _REQUIRED),
-        "tolerance": ((_number, _tolerance), _REQUIRED), "max-period": (_at_least(1), 200),
+        "tolerance": ((_number, _tolerance), _REQUIRED),
+        "max-period": (_at_least(1, quantize.MAX_PERIOD_CAP), 200),
         "horizon": (_at_least(0), None), **_COMPARISON}),
     "compare": (_cmd_compare, "classical vs full-quantum vs effective occupation curves", {
         **_IO, "horizon": (_at_least(0), _REQUIRED), **_COMPARISON}),
     "bell": (_cmd_bell, "correlation grid, CHSH report, marginal flatness, sample dump", {
-        "output": (_PATH, _REQUIRED), "grid": (_at_least(1), 64),
-        "samples": (_at_least(0), 100_000), "seed": (_at_least(0), _REQUIRED),
+        "output": (_PATH, _REQUIRED), "grid": (_at_least(1, bellkit.GRID_CAP), 64),
+        "samples": (_at_least(0, bellkit.SAMPLE_CAP), 100_000), "seed": (_at_least(0), _REQUIRED),
         "settings": ((str, _degrees), bellkit.STANDARD_SETTINGS)}),
 }
 
@@ -271,6 +280,8 @@ def _resolve(command: str, flags: dict, config) -> SimpleNamespace:
             elif value is _REQUIRED:
                 raise ValueError(f"missing required option --{name}")
             values[name.replace("-", "_")] = value
+    except ontodyn.SizeCapError:
+        raise
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return SimpleNamespace(**values)

@@ -32,6 +32,15 @@ summed from those changes.  Their cost grows with the number of state
 changes, not with the horizon.  The two algorithms are kept apart on
 purpose, so comparing them is a real check.
 
+The step's cycles (:func:`check_bijectivity`) are not walked config by
+config either.  The tick moves every phase along its tick orbit, of length
+L = lcm(periods) (:func:`_tick_orbits`), and a swap changes only the slow
+state, so each (slow state, orbit) row, in tick order, splits into runs
+that end where the step image changes slow state or the lap ends.  Only the
+permutation of runs is walked, and numpy proves the joined listing against
+the image before it is returned: every config once, each stepping to the
+next config of its cycle.
+
 Clock periods are meant to be large compared with the inverse couplings of
 interest; that is a soft convention, so the builder only warns (never
 errors) for periods below 10.
@@ -40,6 +49,7 @@ errors) for periods below 10.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import warnings
@@ -140,10 +150,12 @@ def _validate_model(model: OntologicalModel) -> None:
         raise ModelValidationError("clock periods must be positive")
     small = [p for p in model.periods if p < 10]
     if small:
+        # a long list is abridged to its first six (ontodyn.shown) and counted
+        listed = small if len(small) <= 6 else f"{ontodyn.shown(small)} ({len(small)} of them)"
         # 4 frames up: this function, __post_init__, the dataclass __init__,
         # then the line that constructed the model.
         warnings.warn(
-            f"clock periods {small} are below 10; the fast/slow separation is marginal",
+            f"clock periods {listed} are below 10; the fast/slow separation is marginal",
             FastPeriodWarning, stacklevel=4)
 
     # The conflict rule.  A point on pair (a, b) can only fire while clock a
@@ -279,8 +291,9 @@ def step_tables(model: OntologicalModel) -> np.ndarray:
     p_total = model.phase_space_size
     image = np.arange(model.slow_count, dtype=np.int64) * p_total
     for period, stride in zip(model.periods, phase_strides(model.periods)):
-        ticked = np.arange(1, period + 1, dtype=np.int64) % period * stride
-        image = (image[:, None] + ticked).reshape(-1)
+        if period > 1:  # a period-1 clock never moves
+            ticked = np.arange(1, period + 1, dtype=np.int64) % period * stride
+            image = (image[:, None] + ticked).reshape(-1)
     for (a, b), triggers in _pair_triggers(model).items():
         fired = _firing_flats(model, (a, b), triggers, ticks=1)
         on_a, on_b = a * p_total + fired, b * p_total + fired
@@ -293,12 +306,129 @@ def step_map(model: OntologicalModel) -> ontodyn.PermutationLaw:
     return ontodyn.PermutationLaw(step_tables(model))
 
 
-def check_bijectivity(model: OntologicalModel) -> ontodyn.CycleDecomposition:
-    """Enumerate the step map and decompose it, proving reversibility.
+def _tick_orbits(model: OntologicalModel) -> np.ndarray:
+    """The phase space as a (P/L, L) int32 table of phase flats in tick order.
 
-    Raises if the enumerated map fails to be a bijection.
+    Row r is one tick orbit, of length L = lcm(periods), from its smallest
+    flat on.  Those smallest flats are the grid {0} x [0, g_1) x ... x
+    [0, g_{n-1}) with g_i = gcd(lcm(P_0..P_{i-1}), P_i): clock 0 reaches 0 on
+    every orbit, and while clocks 0..i-1 are held, clock i moves in steps of
+    g_i.  The grid has P/L points, one per orbit, and the rows list them in
+    ascending order.
     """
-    return ontodyn.decompose(step_map(model))
+    gaps, lap = [], 1
+    for period in model.periods:
+        gaps.append(math.gcd(lap, period))
+        lap = math.lcm(lap, period)
+    table = np.zeros((1, lap), dtype=np.int32)
+    for period, stride, gap in zip(model.periods, phase_strides(model.periods), gaps):
+        if period == 1:  # a period-1 clock never moves
+            continue
+        # row d of the window is clock phase (d + t) mod period at tick t, for d < gap
+        ticked = np.tile(np.arange(period, dtype=np.int32) * int(stride), lap // period + 1)
+        window = np.lib.stride_tricks.sliding_window_view(ticked, lap)[:gap]
+        table = (table[:, None, :] + window).reshape(-1, lap)
+    return table
+
+
+def _slices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The int32 indices of the slices [start, start + length), one after another."""
+    skip = (starts - (np.cumsum(lengths) - lengths)).astype(np.int32)
+    return np.arange(int(lengths.sum()), dtype=np.int32) + np.repeat(skip, lengths)
+
+
+def _cycle_listing(model: OntologicalModel, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every ontic state, cycle by cycle, and the cycle lengths, as the runs
+    of the tick orbits give them (unproved; :func:`check_bijectivity`).
+
+    Each (slow state, orbit) row of ``states`` lists the configs in tick
+    order.  A run ends where ``image`` leaves the row's slow state, and at
+    the end of the lap.  Only the permutation that takes each run to the run
+    after it is walked.  Each cycle, its runs joined in walk order, is then
+    turned to start at its smallest state, and the cycles are ordered by it.
+    Each ontic-sized array is deleted after its last use: the heap a call
+    leaves behind stays resident under the tuples the caller builds next.
+    """
+    n, p_total = model.slow_count, model.phase_space_size
+    table = _tick_orbits(model)
+    lap = table.shape[1]
+    table = table.reshape(-1)
+    # states[s*P + r*L + t]: slow state s on orbit r, t ticks from the orbit's start
+    states = (np.arange(n, dtype=np.int32)[:, None] * p_total + table).reshape(-1)
+    where = np.empty(p_total, dtype=np.int32)
+    where[table] = np.arange(p_total, dtype=np.int32)
+    del table
+    # hop[k]: how far the image of states[k] jumps to another slow state's rows, or 0
+    rows, low = image.reshape(n, -1), np.arange(n)[:, None] * p_total
+    moved = np.flatnonzero((rows < low) | (rows >= low + p_total))
+    block = moved - moved % p_total
+    hop = np.zeros(image.size, dtype=np.int32)
+    hop[block + where[moved - block]] = image[moved] // p_total * p_total - block
+    del where, moved, block
+    ends = hop != 0
+    ends[lap - 1::lap] = True
+    ends = np.flatnonzero(ends)
+    starts = np.append(0, ends[:-1] + 1)
+    # a run's last state steps into the run of the next tick in the row it hops
+    # to; an image off the tick orbits may point past the last run
+    tick = ends % lap
+    into = ends + hop[ends] - tick + (tick + 1) % lap
+    del hop
+    after = np.minimum(np.searchsorted(starts, into), starts.size - 1).tolist()
+
+    walk, bounds, seen = [], [], bytearray(len(after))
+    for first in range(len(after)):
+        if not seen[first]:
+            bounds.append(len(walk))
+            run = first
+            while not seen[run]:
+                seen[run] = 1
+                walk.append(run)
+                run = after[run]
+    del after, seen
+    lengths = (ends - starts + 1)[walk]
+    listing = states[_slices(starts[walk], lengths)]
+    del states
+    first = (np.cumsum(lengths) - lengths)[bounds]
+    lengths = np.diff(np.append(first, listing.size))
+
+    anchors = np.minimum.reduceat(listing, first)
+    shift = np.flatnonzero(listing == np.repeat(anchors, lengths)) - first
+    order = np.argsort(anchors)
+    first, shift, lengths = first[order], shift[order], lengths[order]
+    # each cycle is two slices of the walk's listing: from its anchor on, then up to it
+    listing = listing[_slices(np.stack([first + shift, first], axis=1).reshape(-1),
+                              np.stack([lengths - shift, shift], axis=1).reshape(-1))]
+    return listing, lengths
+
+
+def check_bijectivity(model: OntologicalModel) -> ontodyn.CycleDecomposition:
+    """The cycles of the step map, proved against :func:`step_tables`.
+
+    The tick carries every config along its phase's tick orbit
+    (:func:`_tick_orbits`) and a swap changes only its slow state, so the
+    cycles are runs of tick orbits joined end to end (:func:`_cycle_listing`).
+    Before anything is returned, numpy proves that the listing holds every
+    ontic state exactly once and that the image takes each state to the next
+    one of its cycle.  So the listing is the image's cycle decomposition, in
+    :func:`ontodyn.decompose`'s order, and the image a bijection, however the
+    runs were found; a failed proof raises RuntimeError.  The int32 arrays
+    are freed before the tuples are built.
+    """
+    image = step_tables(model)
+    listing, lengths = _cycle_listing(model, image)
+    last = np.cumsum(lengths) - 1
+    ahead = np.full(image.size, -1, dtype=np.int32)
+    ahead[listing[:-1]] = listing[1:]
+    ahead[listing[last]] = listing[last - lengths + 1]
+    if not (listing.size == image.size and ahead.min() >= 0 and np.array_equal(image, ahead)):
+        raise RuntimeError("the step map does not follow its clocks' tick orbits")
+    del image, ahead
+    flat = iter(listing.tolist())
+    del listing
+    lengths = lengths.tolist()
+    cycles = tuple(tuple(itertools.islice(flat, length)) for length in lengths)
+    return ontodyn.CycleDecomposition(cycles=cycles, ranks=tuple(sorted(lengths)))
 
 
 # ---------------------------------------------------------------------------

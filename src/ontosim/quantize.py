@@ -41,6 +41,9 @@ if TYPE_CHECKING:  # imported where a matrix is built: most runs never need it
 
 FULL_HAMILTONIAN_CAP = 2 ** 14
 TARGET_CAP = 2 ** 10
+# The compiler's search grows as max_period**2: a 3-state chain target takes
+# about 2 s at this cap (2-CPU VM).
+MAX_PERIOD_CAP = 2000
 INTERCHANGE_CAP = 2 ** 22
 INTERCHANGE_WEIGHT = math.pi / 2
 
@@ -661,8 +664,10 @@ def compile_target(target, tolerance: float, max_period: int) -> fastslow.Ontolo
     q <= ``max_period`` whose point counts over q*q meet the tolerance within
     the trigger budget (:func:`_shared_period_points`).  Trigger cells are
     spread evenly and never collide on a shared clock, so the result always
-    passes the builder's conflict scan.  If no :func:`compile_report` entry
-    can be brought within ``tolerance``, UnreachableToleranceError is raised.
+    passes the builder's conflict scan.  A ``max_period`` above
+    :data:`MAX_PERIOD_CAP` is refused (SizeCapError) before any search.  If
+    no :func:`compile_report` entry can be brought within ``tolerance``,
+    UnreachableToleranceError is raised.
     """
     t = validate_target(target)
     _check_loop_signs(t)
@@ -670,6 +675,8 @@ def compile_target(target, tolerance: float, max_period: int) -> fastslow.Ontolo
         raise ValueError("tolerance must be positive and finite")
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
+    if max_period > MAX_PERIOD_CAP:
+        raise SizeCapError(f"max_period {ontodyn.shown(max_period)} exceeds cap {MAX_PERIOD_CAP}")
     n = t.shape[0]
     tol_x = tolerance / INTERCHANGE_WEIGHT
     magnitudes = _target_magnitudes(t)

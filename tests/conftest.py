@@ -3,7 +3,7 @@ import math
 import numpy as np
 from scipy import integrate
 
-from ontosim import fastslow
+from ontosim import fastslow, ontodyn
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -61,6 +61,12 @@ def reference_step(model: fastslow.OntologicalModel, slow: np.ndarray,
         new_slow[fired & (slow == b)] = a
     assert hits.max(initial=0) <= 1, "two interchanges touched one slow state"
     return new_slow, phases
+
+
+def reference_cycles(model: fastslow.OntologicalModel) -> ontodyn.CycleDecomposition:
+    """Oracle for :func:`fastslow.check_bijectivity`: the generic per-state
+    walk of the tabulated step map."""
+    return ontodyn.decompose(fastslow.step_map(model))
 
 
 def two_state_model(period_a: int, period_b: int,

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from ontosim import bellkit
+from ontosim import bellkit, ontodyn
 
 from conftest import make_rng, random_factorized_model
 
@@ -192,3 +193,12 @@ class TestSampling:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             bellkit.sample_triples(0, seed=1)
+
+    def test_work_caps(self):
+        with pytest.raises(ontodyn.SizeCapError, match="samples exceed cap"):
+            bellkit.sample_triples(bellkit.SAMPLE_CAP + 1, seed=1)
+        with pytest.raises(ontodyn.SizeCapError, match="samples exceed cap"):
+            bellkit.mc_chsh(*bellkit.STANDARD_SETTINGS,
+                            samples_per_setting=bellkit.SAMPLE_CAP + 1, seed=1)
+        with pytest.raises(ontodyn.SizeCapError, match="grid size"):
+            bellkit.write_correlation_grid_csv(bellkit.GRID_CAP + 1, io.StringIO())

@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ontosim import cli, fastslow, quantize
+from ontosim import bellkit, cli, fastslow, quantize
 from ontosim.cli import ExitCode
 from ontosim.fixtures import fixture_path
 
@@ -288,6 +289,23 @@ class TestBell:
         assert flag in err and "Traceback" not in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--grid", str(bellkit.GRID_CAP + 1)),
+        ("--grid", "1000000000"),
+        ("--samples", str(bellkit.SAMPLE_CAP + 1)),
+        ("--samples", "1000000000"),
+    ])
+    def test_work_above_its_cap_is_refused_first(self, capsys, tmp_path, flag, value):
+        options = {"--grid": "2", "--samples": "0", "--seed": "1", flag: value}
+        argv = [item for pair in options.items() for item in pair]
+        out_dir = tmp_path / "bell"
+        start = time.perf_counter()
+        code, _, err = run(capsys, "bell", "--output", str(out_dir), *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == ExitCode.SIZE_CAP
+        assert f"{flag} {value} exceeds cap" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
 
 class TestCountOptions:
     @pytest.mark.parametrize("command,flag,value", [
@@ -481,6 +499,25 @@ class TestCompileGuards:
                           "--output", str(tmp_path / "out"))
         assert got == code
         assert message in err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("max_period", [quantize.MAX_PERIOD_CAP + 1, 10 ** 12])
+    def test_max_period_above_its_cap_is_refused_first(self, capsys, tmp_path, source,
+                                                       max_period):
+        # a chain target, whose shared-period search grows as max_period**2
+        target = tmp_path / "target.json"
+        target.write_text('{"size": 3, "couplings": [{"pair": [0, 1], "imag": -0.01}, '
+                          '{"pair": [1, 2], "imag": -0.02}]}')
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max-period": max_period} if source == "config" else {}))
+        argv = ["--max-period", str(max_period)] if source == "flag" else []
+        start = time.perf_counter()
+        got, _, err = run(capsys, "compile", "--input", str(target), "--tolerance", "1e-3",
+                          "--output", str(tmp_path / "out"), "--config", str(config), *argv)
+        assert time.perf_counter() - start < 1.0
+        assert got == ExitCode.SIZE_CAP
+        assert f"--max-period {max_period} exceeds cap {quantize.MAX_PERIOD_CAP}" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSeed:
@@ -714,7 +751,7 @@ def test_size_caps_refuse_before_allocating(tmp_path):
         import json, resource, sys, warnings
         resource.setrlimit(resource.RLIMIT_AS, (3 * 2 ** 30, 3 * 2 ** 30))
         warnings.simplefilter("ignore")
-        from ontosim import cli, fastslow, quantize
+        from ontosim import bellkit, cli, fastslow, quantize
         model = sys.argv[1]
         runs = [["simulate", "--input", model, "--horizon", "1000000000", "--samples", "1",
                  "--seed", "0"],

@@ -16,7 +16,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ontosim import cli, quantize
+from ontosim import bellkit, cli, quantize
 from ontosim.cli import ExitCode
 
 DOCUMENTED = {int(code) for code in ExitCode}
@@ -93,11 +93,12 @@ FLAG_TEXTS = {
     "seed": ["0", "7", "99999999999999999999"],
     "initial": ["0", "1", "3"],
     "tolerance": ["1e-3", "0.05", "1e-9"],
-    "max-period": ["1", "5", "12"],
-    "grid": ["1", "2"],
+    "max-period": ["1", "5", "12", str(quantize.MAX_PERIOD_CAP + 1), "1000000000000"],
+    "grid": ["1", "2", str(bellkit.GRID_CAP + 1), "1000000000"],
     "settings": ["0,45,22.5,67.5", "0,45,22.5", "0,45,22.5,1e999"],
 }
-BELL_SAMPLES = ["0", "8", "40"]  # the bell samples have no cap: keep them small
+# valid bell samples are drawn small: each one is a row of samples.csv
+BELL_SAMPLES = ["0", "8", "40", str(bellkit.SAMPLE_CAP + 1), "1000000000"]
 JUNK_TEXT = (st.sampled_from(["-1", "0", "1e999", "1_0", " 5", "+5", "1.5", "nan", "1e1", ""])
              | st.text(st.characters(blacklist_categories=("Nd",)), max_size=5))
 
@@ -125,7 +126,8 @@ def invocation(draw, workdir: Path):
         if name in ("input", "output"):
             continue
         texts = BELL_SAMPLES if (command, name) == ("bell", "samples") else FLAG_TEXTS[name]
-        # the bell work and the compile search have no cap: always set them small
+        # the bell work and the compile search take seconds at their defaults:
+        # always set them, small or past their caps
         given = default is cli._REQUIRED or (command, name) in (
             ("bell", "grid"), ("bell", "samples"), ("compile", "max-period"))
         if given or draw(st.booleans()):

@@ -1,14 +1,17 @@
 import io
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from ontosim import fastslow, ontodyn, quantize
+from ontosim import cli, fastslow, ontodyn, quantize
 from ontosim.fixtures import fixture_path
 
-from conftest import make_rng, random_model, two_state_model
+from conftest import make_rng, random_model, reference_cycles, two_state_model
 
 
 class TestSpecialPoint:
@@ -63,6 +66,17 @@ class TestModelValidation:
     def test_small_period_warns(self):
         with pytest.warns(fastslow.FastPeriodWarning):
             fastslow.OntologicalModel(slow_count=1, periods=(3,))
+
+    @pytest.mark.parametrize("periods,listed", [
+        ((3, 12, 7), "[3, 7]"),
+        ((1,) * 6, "[1, 1, 1, 1, 1, 1]"),
+        ((1,) * 100_000, "[1, 1, 1, 1, 1, 1, ...] (100000 of them)"),
+    ])
+    def test_small_period_warning_is_bounded(self, periods, listed):
+        with pytest.warns(fastslow.FastPeriodWarning) as record:
+            fastslow.OntologicalModel(slow_count=len(periods), periods=periods)
+        assert str(record[0].message) == (
+            f"clock periods {listed} are below 10; the fast/slow separation is marginal")
 
     def test_small_period_warning_names_the_constructing_line(self):
         with pytest.warns(fastslow.FastPeriodWarning) as record:
@@ -126,6 +140,96 @@ class TestCheckBijectivity:
         m = fastslow.OntologicalModel(slow_count=1, periods=(fastslow.ENUMERATION_CAP + 1,))
         with pytest.raises(ontodyn.SizeCapError):
             fastslow.check_bijectivity(m)
+
+
+def _swapped(image: np.ndarray, i: int, j: int) -> np.ndarray:
+    image[[i, j]] = image[[j, i]]
+    return image
+
+
+def coupled(size: int, magnitudes: dict) -> np.ndarray:
+    target = np.zeros((size, size), dtype=complex)
+    for (a, b), x in magnitudes.items():
+        target[a, b], target[b, a] = 1j * x, -1j * x
+    return target
+
+
+class TestCycleListing:
+    """check_bijectivity lists the cycles from the tick orbits; the generic
+    walk of the step map is its oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_equals_the_walk_of_the_step_map(self, seed):
+        # 1-4 slow states, periods 1-12, 0-6 points
+        model = random_model(make_rng(seed), min_period=1, max_period=12, max_points=6)
+        assert fastslow.check_bijectivity(model) == reference_cycles(model)
+
+    @pytest.mark.parametrize("periods,points", [
+        ((6, 6), [((0, 1), (0, 0))]),  # equal periods: 6 orbits
+        ((5, 7, 11), [((0, 2), (1, 3))]),  # coprime: one orbit
+        ((1, 9), [((0, 1), (0, 4))]),
+        ((2, 3), [((0, 1), (1, 2))]),
+        ((1, 1, 1, 1), []),
+        ((4, 6, 4), [((0, 1), (1, 2)), ((1, 2), (3, 0)), ((0, 1), (3, 5))]),
+    ])
+    def test_equals_the_walk_on_chosen_periods(self, periods, points):
+        model = fastslow.OntologicalModel(len(periods), periods, tuple(
+            fastslow.SpecialPoint(pair, trigger) for pair, trigger in points))
+        assert fastslow.check_bijectivity(model) == reference_cycles(model)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(0.005, 0.3), st.floats(0.005, 0.3), st.booleans(), st.integers(3, 16))
+    def test_equals_the_walk_on_compiled_models(self, x01, x12, chain, max_period):
+        target = (coupled(3, {(0, 1): x01, (1, 2): x12}) if chain
+                  else coupled(2, {(0, 1): x01}))
+        try:
+            model = quantize.compile_target(target, 1e-2, max_period if chain else 4 * max_period)
+        except quantize.UnreachableToleranceError:
+            reject()
+        assert fastslow.check_bijectivity(model) == reference_cycles(model)
+
+    @staticmethod
+    def machine():
+        return fastslow.OntologicalModel(3, (4, 6, 5), (
+            fastslow.SpecialPoint((0, 1), (1, 2)), fastslow.SpecialPoint((1, 2), (3, 0))))
+
+    @staticmethod
+    def tamper(monkeypatch, model, change) -> np.ndarray:
+        """Make step_tables return the model's image changed by ``change``."""
+        image = change(fastslow.step_tables(model).copy(), model.phase_space_size)
+        monkeypatch.setattr(fastslow, "step_tables", lambda m: image)
+        return image
+
+    @pytest.mark.parametrize("change", [
+        lambda image, p: _swapped(image, 3, 17),  # the tick skips ahead on two configs
+        lambda image, p: _swapped(image, 5, 2 * p + 11),  # ... and changes slow state
+        lambda image, p: (image + 1) % image.size,
+        lambda image, p: np.where(np.arange(image.size) == 7, image[8], image),  # no bijection
+    ], ids=["swap_in_row", "swap_across_rows", "shift", "duplicate"])
+    def test_a_step_map_that_breaks_the_tick_is_refused(self, monkeypatch, change):
+        model = self.machine()
+        self.tamper(monkeypatch, model, change)
+        with pytest.raises(RuntimeError, match="tick orbits"):
+            fastslow.check_bijectivity(model)
+
+    def test_the_listing_follows_the_image_not_the_model(self, monkeypatch):
+        # one more swap on pair (0, 1) keeps the tick: the image is still a
+        # machine's, and its cycles are listed
+        model = self.machine()
+        untouched = reference_cycles(model)
+        image = self.tamper(monkeypatch, model, lambda image, p: _swapped(image, 5, p + 5))
+        listed = fastslow.check_bijectivity(model)
+        assert listed == ontodyn.decompose(ontodyn.PermutationLaw(image)) != untouched
+
+    def test_cli_cycles_writes_the_oracle_report(self, tmp_path, capsys):
+        model = random_model(make_rng(23), min_slow=3, max_slow=3, min_points=3)
+        path = tmp_path / "model.json"
+        path.write_text(fastslow.model_to_json(model))
+        out = tmp_path / "cycles.json"
+        assert cli.main(["cycles", "--input", str(path), "--output", str(out)]) == 0
+        expected = json.dumps(ontodyn.cycles_report(reference_cycles(model))) + "\n"
+        assert out.read_bytes() == expected.encode()
 
 
 class TestFreeSpectrumStructure:

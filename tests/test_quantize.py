@@ -630,6 +630,13 @@ def test_compare_checks_the_ontic_cap_first(monkeypatch):
         quantize.compare_dynamics(two_state_model(1000, 999), 0, 5)
 
 
+def test_max_period_cap():
+    target = np.array([[0.0, 0.01j], [-0.01j, 0.0]])
+    with pytest.raises(ontodyn.SizeCapError, match=f"exceeds cap {quantize.MAX_PERIOD_CAP}"):
+        quantize.compile_target(target, 1e-3, quantize.MAX_PERIOD_CAP + 1)
+    assert quantize.compile_target(target, 1e-3, quantize.MAX_PERIOD_CAP).slow_count == 2
+
+
 def test_target_size_cap():
     doc = json.dumps({"size": quantize.TARGET_CAP + 1, "couplings": []})
     with pytest.raises(ontodyn.SizeCapError, match="target size"):
