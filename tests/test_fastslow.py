@@ -222,7 +222,7 @@ class TestCycleListing:
         listed = fastslow.check_bijectivity(model)
         assert listed == ontodyn.decompose(ontodyn.PermutationLaw(image)) != untouched
 
-    def test_cli_cycles_writes_the_oracle_report(self, tmp_path, capsys):
+    def test_cli_cycles_writes_the_oracle_report(self, tmp_path):
         model = random_model(make_rng(23), min_slow=3, max_slow=3, min_points=3)
         path = tmp_path / "model.json"
         path.write_text(fastslow.model_to_json(model))
