@@ -26,14 +26,13 @@ marginal is featureless.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import IO, Callable, Sequence
 
 import numpy as np
 
-from .ontodyn import SizeCapError, shown
+from .ontodyn import SizeCapError, philox_rng, shown, write_csv
 
 CLASSICAL_BOUND = 2.0
 QUANTUM_MAX = 2.0 * math.sqrt(2.0)
@@ -294,10 +293,6 @@ def normalization_constant(domain_end: float = math.pi, a: float = 0.3, b: float
 # ---------------------------------------------------------------------------
 # sampling
 
-def bell_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
-
-
 def sample_conditional_lambda(a, b, count: int, rng: np.random.Generator) -> np.ndarray:
     """Inverse-transform draws from C |sin 2(a+b-2 lam)| on [0, pi).
 
@@ -350,7 +345,7 @@ def sample_triples(count: int, seed: int) -> TripleSamples:
     if count < 1:
         raise ValueError("count must be >= 1")
     _check_samples(count)
-    rng = bell_rng(seed)
+    rng = philox_rng(seed)
     a = rng.random(count) * math.pi
     b = rng.random(count) * math.pi
     lam = sample_conditional_lambda(a, b, count, rng)
@@ -368,7 +363,7 @@ def mc_chsh(a: float, a_prime: float, b: float, b_prime: float,
             samples_per_setting: int, seed: int) -> ChshResult:
     """CHSH score of the correlated model estimated by Monte Carlo."""
     _check_samples(samples_per_setting)
-    rng = bell_rng(seed)
+    rng = philox_rng(seed)
     return chsh_score(lambda x, y: mc_correlation(x, y, samples_per_setting, rng),
                       a, a_prime, b, b_prime)
 
@@ -380,22 +375,16 @@ def write_correlation_grid_csv(grid_size: int, stream: IO[str]) -> None:
     """Rows ``a_deg, b_deg, E_quant, E_correlated, abs_err`` over a uniform grid."""
     if grid_size > GRID_CAP:
         raise SizeCapError(f"grid size {shown(grid_size)} exceeds cap {GRID_CAP}")
-    writer = csv.writer(stream)
-    writer.writerow(["a_deg", "b_deg", "E_quant", "E_correlated", "abs_err"])
     grid = np.linspace(0.0, math.pi, grid_size, endpoint=False)
-    for a in grid:
-        for b in grid:
-            eq = float(quantum_correlation(a, b))
-            ec = correlated_expectation(a, b)
-            writer.writerow([repr(math.degrees(a)), repr(math.degrees(b)),
-                             repr(eq), repr(ec), repr(abs(ec - eq))])
+    a, b = (g.ravel() for g in np.meshgrid(grid, grid, indexing="ij"))
+    eq = np.array([float(quantum_correlation(x, y)) for x, y in zip(a, b)])
+    ec = np.array([correlated_expectation(x, y) for x, y in zip(a, b)])
+    write_csv(stream, ["a_deg", "b_deg", "E_quant", "E_correlated", "abs_err"],
+              [(np.degrees(a), np.degrees(b), eq, ec, np.abs(ec - eq))])
 
 
 def write_samples_csv(samples: TripleSamples, stream: IO[str]) -> None:
     """Rows ``a, b, lambda, A, B`` (radians; outcomes are +-1)."""
-    writer = csv.writer(stream)
-    writer.writerow(["a", "b", "lambda", "A", "B"])
-    for i in range(samples.a.size):
-        writer.writerow([repr(float(samples.a[i])), repr(float(samples.b[i])),
-                         repr(float(samples.lam[i])),
-                         int(samples.outcome_a[i]), int(samples.outcome_b[i])])
+    write_csv(stream, ["a", "b", "lambda", "A", "B"],
+              [(samples.a, samples.b, samples.lam,
+                samples.outcome_a.astype(np.int8), samples.outcome_b.astype(np.int8))])

@@ -140,9 +140,8 @@ def _cmd_spectrum(opts) -> int:
                                            "too large for a spectrum table")
             levels = quantize.free_energy_levels(obj)
             distinct, counts = np.unique(np.round(levels, 12), return_counts=True)
-            fh.write("level,energy,multiplicity\n")
-            for i, (energy, mult) in enumerate(zip(distinct, counts)):
-                fh.write(f"{i},{float(energy)!r},{int(mult)}\n")
+            ontodyn.write_csv(fh, ["level", "energy", "multiplicity"],
+                              [(np.arange(distinct.size), distinct, counts)])
     return ExitCode.OK
 
 
@@ -194,7 +193,7 @@ def _cmd_compare(opts) -> int:
 def _cmd_bell(opts) -> int:
     out_dir = Path(opts.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "grid.csv", "w", encoding="utf-8", newline="") as fh:
+    with _out_stream(str(out_dir / "grid.csv")) as fh:
         bellkit.write_correlation_grid_csv(opts.grid, fh)
 
     quad_result = bellkit.chsh_score(bellkit.correlated_expectation, *opts.settings)
@@ -211,7 +210,7 @@ def _cmd_bell(opts) -> int:
 
     if opts.samples > 0:
         triples = bellkit.sample_triples(opts.samples, opts.seed)
-        with open(out_dir / "samples.csv", "w", encoding="utf-8", newline="") as fh:
+        with _out_stream(str(out_dir / "samples.csv")) as fh:
             bellkit.write_samples_csv(triples, fh)
     return ExitCode.OK
 

@@ -48,7 +48,6 @@ errors) for periods below 10.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -434,11 +433,6 @@ def check_bijectivity(model: OntologicalModel) -> ontodyn.CycleDecomposition:
 # ---------------------------------------------------------------------------
 # ensembles
 
-def phase_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator (Philox) so runs are reproducible across platforms."""
-    return np.random.Generator(np.random.Philox(seed))
-
-
 def random_phases(model: OntologicalModel, count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform independent phases, one 64-bit draw per clock reduced mod its period."""
     draws = rng.integers(0, 2 ** 64, size=(count, len(model.periods)), dtype=np.uint64)
@@ -463,7 +457,7 @@ def run_ensemble(model: OntologicalModel, initial_slow: int, horizon: int,
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     _check_run(model, initial_slow, horizon, "samples", sample_count)
-    phases = random_phases(model, sample_count, phase_rng(seed))
+    phases = random_phases(model, sample_count, ontodyn.philox_rng(seed))
     return _occupation_counts(model, initial_slow, horizon, phases) / sample_count
 
 
@@ -633,8 +627,5 @@ def model_to_json(model: OntologicalModel) -> str:
 
 def write_ensemble_csv(frequencies: np.ndarray, stream: IO[str]) -> None:
     """Rows ``t, state_0_freq, ..., state_{N-1}_freq``."""
-    writer = csv.writer(stream)
-    n = frequencies.shape[1]
-    writer.writerow(["t"] + [f"state_{s}_freq" for s in range(n)])
-    for t, row in enumerate(frequencies):
-        writer.writerow([t] + [repr(float(v)) for v in row])
+    ontodyn.write_csv(stream, ["t"] + [f"state_{s}_freq" for s in range(frequencies.shape[1])],
+                      [(np.arange(len(frequencies)), *frequencies.T)])

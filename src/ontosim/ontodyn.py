@@ -15,12 +15,11 @@ no cap.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import reprlib
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -306,6 +305,29 @@ def json_objects(values, field: str, required: tuple[str, ...] = ()) -> list[dic
 
 
 # ---------------------------------------------------------------------------
+# seeded draws and output tables
+
+def philox_rng(seed: int) -> np.random.Generator:
+    """Counter-based generator (Philox) so runs are reproducible across platforms."""
+    return np.random.Generator(np.random.Philox(seed))
+
+
+CSV_CHUNK = 1024  # rows formatted per write, which bounds the text held at once
+
+
+def write_csv(stream: IO[str], header: Sequence[str],
+              blocks: Iterable[Sequence[np.ndarray]]) -> None:
+    """The one CSV writer: ``header``, then the rows of each block of equal-length
+    numpy columns.  A cell is the ``repr`` of its ``tolist()`` value, and each
+    row ends in ``\\r\\n``: the bytes ``csv.writer`` writes for such cells."""
+    stream.write(",".join(header) + "\r\n")
+    for block in blocks:
+        for start in range(0, len(block[0]), CSV_CHUNK):
+            cells = [map(repr, column[start:start + CSV_CHUNK].tolist()) for column in block]
+            stream.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
+# ---------------------------------------------------------------------------
 # serialization
 
 def law_from_json(text: str) -> PermutationLaw:
@@ -340,12 +362,15 @@ def cycles_report(decomp: CycleDecomposition) -> dict:
 def write_spectrum_csv(decomp: CycleDecomposition, stream: IO[str]) -> None:
     """Per-cycle mode table: cycle_index, n, energy, re_phase, im_phase.
 
-    The values are :func:`cycle_spectrum`'s, but no eigenvector is built: the
-    work and memory per cycle are linear in its length.
+    The values are :func:`cycle_spectrum`'s, but no eigenvector is built, and
+    the modes of each distinct cycle length are computed once.
     """
-    writer = csv.writer(stream)
-    writer.writerow(["cycle_index", "n", "energy", "re_phase", "im_phase"])
-    for ci, cycle in enumerate(decomp.cycles):
-        energies, phases = _cycle_modes(len(cycle))
-        for n, (energy, phase) in enumerate(zip(energies.tolist(), phases.tolist())):
-            writer.writerow([ci, n, repr(energy), repr(phase.real), repr(phase.imag)])
+    def blocks():
+        modes = {}  # cycle length -> its n, energy, re_phase and im_phase columns
+        for ci, t in enumerate(map(len, decomp.cycles)):
+            if t not in modes:
+                energies, phases = _cycle_modes(t)
+                modes[t] = np.arange(t), energies, phases.real, phases.imag
+            yield (np.full(t, ci), *modes[t])
+
+    write_csv(stream, ["cycle_index", "n", "energy", "re_phase", "im_phase"], blocks())

@@ -23,7 +23,6 @@ approximation.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from collections import Counter
@@ -41,8 +40,8 @@ if TYPE_CHECKING:  # imported where a matrix is built: most runs never need it
 
 FULL_HAMILTONIAN_CAP = 2 ** 14
 TARGET_CAP = 2 ** 10
-# The compiler's search grows as max_period**2: a 3-state chain target takes
-# about 2 s at this cap (2-CPU VM).
+# A machine has up to max_period**2 points per pair (a 3-state chain target
+# compiles in about 2 s at this cap, 2-CPU VM); a refusal costs O(max_period * pairs).
 MAX_PERIOD_CAP = 2000
 INTERCHANGE_CAP = 2 ** 22
 INTERCHANGE_WEIGHT = math.pi / 2
@@ -388,10 +387,7 @@ def write_comparison_csv(comparison: DynamicsComparison, stream: IO[str]) -> Non
     curves = {"classical": comparison.classical, "full_quantum": comparison.quantum,
               "effective": comparison.effective, "ensemble": comparison.ensemble}
     curves = {name: comparison.transition(c) for name, c in curves.items() if c is not None}
-    writer = csv.writer(stream)
-    writer.writerow(["t", *curves])
-    for t in comparison.times:
-        writer.writerow([int(t)] + [repr(float(c[t])) for c in curves.values()])
+    ontodyn.write_csv(stream, ["t", *curves], [(comparison.times, *curves.values())])
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +606,7 @@ def _shared_period_points(n: int, magnitudes: dict, tol_x: float,
     Counts are rounded against the common denominator q*q, and each state's
     pairs take disjoint blocks of trigger values so that firing sets never
     conflict.  A count off by more than ``tol_x`` or a state whose blocks
-    overflow its q values raises UnreachableToleranceError.
+    overflow its q values raises UnreachableToleranceError, before any point is built.
     """
     counts: dict[tuple[int, int], int] = {}
     for pair, mag in sorted(magnitudes.items()):
@@ -621,23 +617,19 @@ def _shared_period_points(n: int, magnitudes: dict, tol_x: float,
                 f"coupling {mag} for pair {pair} not reachable with shared period {q}")
         if c:
             counts[pair] = c
-    points = []
+    blocks = []  # (pair, count, block side, first value on a's clock, on b's)
     offsets = [0] * n
-    for pair in sorted(counts):
-        a, b = pair
-        side = math.isqrt(counts[pair] - 1) + 1
+    for (a, b), count in counts.items():
+        side = math.isqrt(count - 1) + 1
         if offsets[a] + side > q or offsets[b] + side > q:
             raise UnreachableToleranceError(
-                f"trigger budget of shared clocks exhausted at pair {pair}")
-        base_a, base_b = offsets[a], offsets[b]
+                f"trigger budget of shared clocks exhausted at pair {(a, b)}")
+        blocks.append(((a, b), count, side, offsets[a], offsets[b]))
         offsets[a] += side
         offsets[b] += side
-        cells = side * side
-        for j in range(counts[pair]):
-            idx = (j * cells) // counts[pair]
-            points.append(fastslow.SpecialPoint(
-                pair=pair, trigger=(base_a + idx // side, base_b + idx % side)))
-    return points
+    return [fastslow.SpecialPoint(pair=pair, trigger=(base_a + k // side, base_b + k % side))
+            for pair, count, side, base_a, base_b in blocks
+            for k in (j * side * side // count for j in range(count))]
 
 
 def _checked_model(target: np.ndarray, periods: list[int], points: list,

@@ -519,6 +519,19 @@ class TestCompileGuards:
         assert f"--max-period {max_period} exceeds cap {quantize.MAX_PERIOD_CAP}" in err
         assert not (tmp_path / "out").exists()
 
+    def test_shared_period_refusal_at_the_cap_is_quick(self, capsys, tmp_path):
+        # a star whose centre clock cannot hold three blocks at any period
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"size": 4, "couplings": [
+            {"pair": [0, b], "imag": -0.9 * math.pi / 2} for b in (1, 2, 3)]}))
+        start = time.perf_counter()
+        got, out, err = run(capsys, "compile", "--input", str(target), "--tolerance", "1e-3",
+                            "--max-period", str(quantize.MAX_PERIOD_CAP),
+                            "--output", str(tmp_path / "out"))
+        assert time.perf_counter() - start < 1.0
+        assert got == ExitCode.UNREACHABLE_TOLERANCE and out == ""
+        assert err == "ontosim: trigger budget of shared clocks exhausted at pair (0, 2)\n"
+
 
 class TestSeed:
     @pytest.mark.parametrize("command", [

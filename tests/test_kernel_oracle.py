@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ontosim import fastslow, quantize
+from ontosim import fastslow, ontodyn, quantize
 
 from conftest import make_rng, random_model, reference_step
 
@@ -59,7 +59,7 @@ def check_counts(model: fastslow.OntologicalModel, seed: int, horizon: int) -> N
     assert np.array_equal(
         exact.counts, reference_counts(model, np.full(len(rows), initial), rows, horizon))
 
-    phases = fastslow.random_phases(model, SAMPLES, fastslow.phase_rng(seed))
+    phases = fastslow.random_phases(model, SAMPLES, ontodyn.philox_rng(seed))
     expected = reference_counts(model, np.full(SAMPLES, initial), phases, horizon) / SAMPLES
     assert np.array_equal(fastslow.run_ensemble(model, initial, horizon, SAMPLES, seed),
                           expected)

@@ -1,7 +1,9 @@
+import hashlib
 import io
 import itertools
 import json
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -635,6 +637,31 @@ def test_max_period_cap():
     with pytest.raises(ontodyn.SizeCapError, match=f"exceeds cap {quantize.MAX_PERIOD_CAP}"):
         quantize.compile_target(target, 1e-3, quantize.MAX_PERIOD_CAP + 1)
     assert quantize.compile_target(target, 1e-3, quantize.MAX_PERIOD_CAP).slow_count == 2
+
+
+def star_target(x: float) -> np.ndarray:
+    """Four states, state 0 coupled to each other one at imag -x*pi/2."""
+    t = np.zeros((4, 4), dtype=complex)
+    t[0, 1:] = -1j * x * quantize.INTERCHANGE_WEIGHT
+    t[1:, 0] = 1j * x * quantize.INTERCHANGE_WEIGHT
+    return t
+
+
+def test_shared_period_refusal_builds_no_points():
+    # the centre clock's three blocks overflow every q, which is found before any
+    # q*q points are built: a refusal costs O(max_period * pairs)
+    start = time.perf_counter()
+    with pytest.raises(quantize.UnreachableToleranceError,
+                       match=r"^trigger budget of shared clocks exhausted at pair \(0, 2\)$"):
+        quantize.compile_target(star_target(0.9), 1e-3, quantize.MAX_PERIOD_CAP)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_shared_period_star_compiles_as_before():
+    model = quantize.compile_target(star_target(0.1), 1e-3, 60)
+    digest = hashlib.sha256(fastslow.model_to_json(model).encode()).hexdigest()
+    assert model.periods == (60, 60, 60, 60) and len(model.special_points) == 1080
+    assert digest.startswith("cc26efb01d8d3966")
 
 
 def test_target_size_cap():
