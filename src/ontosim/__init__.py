@@ -6,6 +6,7 @@ and Bell/CHSH correlation analysis."""
 from .ontodyn import (
     CycleDecomposition,
     CycleSpectrum,
+    InternalCheckError,
     MalformedLawError,
     PermutationLaw,
     SizeCapError,

@@ -74,12 +74,18 @@ def quantum_correlation(a, b):
 _NODES_24, _WEIGHTS_24 = np.polynomial.legendre.leggauss(24)
 _NODES_48, _WEIGHTS_48 = np.polynomial.legendre.leggauss(48)
 _NODES = np.concatenate([_NODES_24, _NODES_48])
+_EDGES = np.linspace(0.0, math.pi, 5)  # the 4 base panels of [0, pi)
 
 
-def _zeros(phase: float, spacing: float, end: float = math.pi) -> np.ndarray:
-    """The points of the progression ``phase + k * spacing`` that lie in [0, end)."""
-    points = np.remainder(phase, spacing) + spacing * np.arange(math.ceil(end / spacing))
-    return points[points < end]
+def _zeros(phase: float, spacing: float, end: float = math.pi) -> list[float]:
+    """The points of the progression ``phase + k * spacing`` that lie in [0, end).
+
+    Python's float ``%`` rounds as ``np.remainder`` does (fmod, then one step
+    towards the divisor's sign), so the points are numpy's to the bit.
+    """
+    first = float(phase) % spacing
+    points = (first + spacing * k for k in range(math.ceil(end / spacing)))
+    return [x for x in points if x < end]
 
 
 def _integrate(f: Callable, kinks: Sequence[float], end: float = math.pi) -> float:
@@ -88,23 +94,35 @@ def _integrate(f: Callable, kinks: Sequence[float], end: float = math.pi) -> flo
     [0, end) is cut into 4 equal panels and at the kinks inside it.  Each
     round calls ``f`` once on the 24- and 48-node points of all open panels;
     a panel whose two sums differ by more than 1e-9 * width / end, or are not
-    finite, is bisected; the others count at their 48-node sum.  Raises
+    finite, is bisected; the others count at their 48-node sum.  A round that
+    accepts every open panel returns at once; for a smooth ``f`` whose jumps
+    and kinks are all declared, that is the first round.  Raises
     QuadratureError once the partition would pass 200 panels.
     """
-    edges = np.unique(np.r_[np.linspace(0.0, end, 5), np.clip(kinks, 0.0, end)])
+    edges = _EDGES if end == math.pi else np.linspace(0.0, end, 5)
+    if len(kinks) or edges is not _EDGES:  # _EDGES is sorted and distinct already
+        # np.unique of the edges and the kinks clipped to [0, end], in Python
+        # floats: a dozen of them cost less than numpy's dispatch
+        edges = np.array(sorted({*edges.tolist(), *(min(max(k, 0.0), end) for k in kinks)}))
     lo, hi = edges[:-1], edges[1:]
     total, done = 0.0, 0
     while lo.size:
         if done + lo.size > 200:
             raise QuadratureError("integral not resolved to 1e-9 within 200 panels")
         mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-        y = np.broadcast_to(f(mid[:, None] + half[:, None] * _NODES), (lo.size, _NODES.size))
+        lam = mid[:, None] + half[:, None] * _NODES
+        y = f(lam)
+        if np.shape(y) != lam.shape:  # a constant or a row to spread over the panels
+            y = np.broadcast_to(y, lam.shape)
         coarse = half * (y[:, :24] @ _WEIGHTS_24)
         fine = half * (y[:, 24:] @ _WEIGHTS_48)
-        split = ~(np.abs(fine - coarse) <= 1e-9 * (hi - lo) / end)
-        total += fine[~split].sum()
-        done += lo.size - int(split.sum())
-        lo, hi = np.r_[lo[split], mid[split]], np.r_[mid[split], hi[split]]
+        accept = np.abs(fine - coarse) <= 1e-9 * (hi - lo) / end
+        if accept.all():
+            return float(total + fine.sum())
+        split = ~accept
+        total += fine[accept].sum()
+        done += int(accept.sum())
+        lo, hi = np.concatenate([lo[split], mid[split]]), np.concatenate([mid[split], hi[split]])
     return float(total)
 
 
@@ -131,7 +149,7 @@ class FactorizedModel:
 
 def detection_probability(model: FactorizedModel, a: float, b: float) -> float:
     """Joint detection probability: the density-weighted product of responses."""
-    kinks = np.concatenate([model.kinks(a), model.kinks(b)]) if model.kinks else ()
+    kinks = [*model.kinks(a), *model.kinks(b)] if model.kinks else ()
     return _integrate(
         lambda lam: model.density(lam) * model.p_alice(a, lam) * model.p_bob(b, lam), kinks)
 
@@ -249,12 +267,17 @@ def correlated_expectation(a: float, b: float) -> float:
     This must equal cos 2(a - b) to quadrature accuracy (the module docstring
     carries the closed-form reduction).
     """
-    kinks = np.concatenate([_zeros((a + b) / 2.0, math.pi / 4),
-                            _zeros(a + math.pi / 4, math.pi / 2),
-                            _zeros(b + math.pi / 4, math.pi / 2)])
-    return _integrate(
-        lambda lam: conditional_density(lam, a, b) * outcome_sign(a, lam) * outcome_sign(b, lam),
-        kinks)
+    kinks = (_zeros((a + b) / 2.0, math.pi / 4) + _zeros(a + math.pi / 4, math.pi / 2)
+             + _zeros(b + math.pi / 4, math.pi / 2))
+
+    def integrand(lam):
+        # the product of the two outcome signs is +1 where they agree; a sign
+        # flip is exact, so this is the density times both signs to the bit
+        density = conditional_density(lam, a, b)
+        agree = (np.cos(2.0 * (lam - a)) >= 0.0) == (np.cos(2.0 * (lam - b)) >= 0.0)
+        return np.where(agree, density, -density)
+
+    return _integrate(integrand, kinks)
 
 
 def _marginal(which: str, u: float, v: float) -> float:
@@ -377,7 +400,7 @@ def write_correlation_grid_csv(grid_size: int, stream: IO[str]) -> None:
         raise SizeCapError(f"grid size {shown(grid_size)} exceeds cap {GRID_CAP}")
     grid = np.linspace(0.0, math.pi, grid_size, endpoint=False)
     a, b = (g.ravel() for g in np.meshgrid(grid, grid, indexing="ij"))
-    eq = np.array([float(quantum_correlation(x, y)) for x, y in zip(a, b)])
+    eq = quantum_correlation(a, b)
     ec = np.array([correlated_expectation(x, y) for x, y in zip(a, b)])
     write_csv(stream, ["a_deg", "b_deg", "E_quant", "E_correlated", "abs_err"],
               [(np.degrees(a), np.degrees(b), eq, ec, np.abs(ec - eq))])

@@ -36,6 +36,7 @@ class ExitCode(IntEnum):
     SIZE_CAP = 6
     NOT_REPRESENTABLE = 7
     UNREACHABLE_TOLERANCE = 8
+    INTERNAL_CHECK = 9
 
 
 class UsageError(ValueError):
@@ -329,6 +330,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"ontosim: cannot parse input: {exc}", file=sys.stderr)
         return ExitCode.PARSE_ERROR
+    except ontodyn.InternalCheckError as exc:
+        print(f"ontosim: internal check failed: {ontodyn.shown(str(exc))}", file=sys.stderr)
+        return ExitCode.INTERNAL_CHECK
 
 
 if __name__ == "__main__":

@@ -411,8 +411,8 @@ def check_bijectivity(model: OntologicalModel) -> ontodyn.CycleDecomposition:
     ontic state exactly once and that the image takes each state to the next
     one of its cycle.  So the listing is the image's cycle decomposition, in
     :func:`ontodyn.decompose`'s order, and the image a bijection, however the
-    runs were found; a failed proof raises RuntimeError.  The int32 arrays
-    are freed before the tuples are built.
+    runs were found; a failed proof raises :class:`ontodyn.InternalCheckError`.
+    The int32 arrays are freed before the tuples are built.
     """
     image = step_tables(model)
     listing, lengths = _cycle_listing(model, image)
@@ -421,7 +421,7 @@ def check_bijectivity(model: OntologicalModel) -> ontodyn.CycleDecomposition:
     ahead[listing[:-1]] = listing[1:]
     ahead[listing[last]] = listing[last - lengths + 1]
     if not (listing.size == image.size and ahead.min() >= 0 and np.array_equal(image, ahead)):
-        raise RuntimeError("the step map does not follow its clocks' tick orbits")
+        raise ontodyn.InternalCheckError("the step map does not follow its clocks' tick orbits")
     del image, ahead
     flat = iter(listing.tolist())
     del listing

@@ -34,6 +34,11 @@ class SizeCapError(ValueError):
     """State space too large for the requested dense-matrix operation."""
 
 
+class InternalCheckError(RuntimeError):
+    """A result disagreed with the independent check it was computed against:
+    a fault in the program, never in its input."""
+
+
 @dataclass(frozen=True, eq=False)
 class PermutationLaw:
     """A reversible one-step evolution law on ``size`` states.

@@ -61,7 +61,7 @@ class UnreachableToleranceError(ValueError):
     """No special-point table within the period cap meets the tolerance."""
 
 
-class ProjectionMismatchError(RuntimeError):
+class ProjectionMismatchError(ontodyn.InternalCheckError):
     """Float ground projection disagrees with the exact rational table."""
 
 

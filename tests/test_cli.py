@@ -579,6 +579,28 @@ class TestDiagnostics:
         assert "fastslow.py" not in err and "quantize.py" not in err
 
 
+class TestInternalChecks:
+    """A failed self-check is the program's fault, not the input's: exit 9 with
+    one line, no traceback.  Each test breaks what the check is given."""
+
+    def test_ground_projection_mismatch(self, capsys, monkeypatch):
+        build = quantize.build_interchange
+        monkeypatch.setattr(quantize, "build_interchange", lambda model: (
+            quantize.InterchangeHamiltonian(matrix=2.0 * build(model).matrix)))
+        code, out, err = run(capsys, "compare", "--input", TWO_STATE, "--horizon", "3")
+        assert (code, out) == (ExitCode.INTERNAL_CHECK, "") and int(code) == 9
+        assert err == ("ontosim: internal check failed: "
+                       "'explicit ground projection disagrees with the rational table'\n")
+
+    def test_failed_cycle_proof(self, capsys, monkeypatch):
+        tables = fastslow.step_tables
+        monkeypatch.setattr(fastslow, "step_tables", lambda m: (tables(m) + 1) % m.ontic_space_size)
+        code, out, err = run(capsys, "cycles", "--input", TWO_STATE)
+        assert (code, out) == (ExitCode.INTERNAL_CHECK, "")
+        assert err == ("ontosim: internal check failed: "
+                       "\"the step map does not follow its clocks' tick orbits\"\n")
+
+
 class TestConfigPrecedence:
     def test_flags_override_config(self, capsys, tmp_path):
         config = tmp_path / "cfg.json"

@@ -194,6 +194,15 @@ class TestTableWriters:
     def test_correlation_grid(self):
         assert text_of(bellkit.write_correlation_grid_csv, 3) == old_grid_csv(3)
 
+    @pytest.mark.parametrize("grid_size", [12, 64, 256])
+    def test_correlation_grid_quantum_column(self, monkeypatch, grid_size):
+        # one cos over the grid's columns gives each cell's own value, to the bit
+        monkeypatch.setattr(bellkit, "correlated_expectation", lambda a, b: 0.0)
+        grid = np.linspace(0.0, math.pi, grid_size, endpoint=False)
+        want = [repr(float(bellkit.quantum_correlation(a, b))) for a in grid for b in grid]
+        rows = text_of(bellkit.write_correlation_grid_csv, grid_size).splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == want
+
     def test_samples(self):
         samples = bellkit.sample_triples(10, 4)
         assert text_of(bellkit.write_samples_csv, samples) == old_samples_csv(samples)

@@ -1,0 +1,209 @@
+"""Bit-identity oracle for bellkit's quadrature layer.
+
+The reference below is the quadrature as it was before its dispatch was cut:
+numpy edges through ``np.unique``, a numpy ``_zeros``, a loop that always runs
+to an empty partition, and integrands that multiply by both outcome signs.
+The lean code must return the same float, bit for bit, for every integral.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ontosim import bellkit
+from ontosim.bellkit import (_NODES, _WEIGHTS_24, _WEIGHTS_48, QuadratureError,
+                             complementary, conditional_density, outcome_sign)
+
+from conftest import make_rng, random_factorized_model
+
+angles = st.floats(-1e4, 1e4)
+settings_on_kinks = [
+    (0.0, 0.0),
+    (0.7, 0.7),
+    (1e4, 1e4),
+    (math.pi / 4, 0.0),  # a + pi/4 lands on the base edge pi/2
+    (-math.pi / 4, math.pi / 4),  # a kink at 0 and one at pi/2
+    (0.0, math.pi / 2),  # the three progressions share points
+    (math.pi / 8, 3 * math.pi / 8),
+    (math.pi - 1e-16, 0.3),
+    (math.nextafter(math.pi, 0.0), 0.3),
+]
+
+
+def ref_zeros(phase, spacing, end=math.pi):
+    points = np.remainder(phase, spacing) + spacing * np.arange(math.ceil(end / spacing))
+    return points[points < end]
+
+
+def ref_integrate(f, kinks, end=math.pi):
+    edges = np.unique(np.r_[np.linspace(0.0, end, 5), np.clip(kinks, 0.0, end)])
+    lo, hi = edges[:-1], edges[1:]
+    total, done = 0.0, 0
+    while lo.size:
+        if done + lo.size > 200:
+            raise QuadratureError("integral not resolved to 1e-9 within 200 panels")
+        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+        y = np.broadcast_to(f(mid[:, None] + half[:, None] * _NODES), (lo.size, _NODES.size))
+        coarse = half * (y[:, :24] @ _WEIGHTS_24)
+        fine = half * (y[:, 24:] @ _WEIGHTS_48)
+        split = ~(np.abs(fine - coarse) <= 1e-9 * (hi - lo) / end)
+        total += fine[~split].sum()
+        done += lo.size - int(split.sum())
+        lo, hi = np.r_[lo[split], mid[split]], np.r_[mid[split], hi[split]]
+    return float(total)
+
+
+def ref_correlated_expectation(a, b):
+    kinks = np.concatenate([ref_zeros((a + b) / 2.0, math.pi / 4),
+                            ref_zeros(a + math.pi / 4, math.pi / 2),
+                            ref_zeros(b + math.pi / 4, math.pi / 2)])
+    return ref_integrate(
+        lambda lam: conditional_density(lam, a, b) * outcome_sign(a, lam) * outcome_sign(b, lam),
+        kinks)
+
+
+def ref_detection_probability(model, a, b):
+    kinks = np.concatenate([model.kinks(a), model.kinks(b)]) if model.kinks else ()
+    return ref_integrate(
+        lambda lam: model.density(lam) * model.p_alice(a, lam) * model.p_bob(b, lam), kinks)
+
+
+def ref_factorized_correlation(model, a, b):
+    assert abs(ref_integrate(model.density, ()) - 1.0) <= 1e-8
+    ac, bc = float(complementary(a)), float(complementary(b))
+    return (ref_detection_probability(model, a, b)
+            + ref_detection_probability(model, ac, bc)
+            - ref_detection_probability(model, a, bc)
+            - ref_detection_probability(model, ac, b))
+
+
+def ref_marginal(which, u, v):
+    if which == "lambda":
+        return ref_integrate(lambda lam: conditional_density(lam, u, v),
+                             ref_zeros((u + v) / 2.0, math.pi / 4))
+    return ref_integrate(lambda x: conditional_density(v, x, u),
+                         ref_zeros(2.0 * v - u, math.pi / 2))
+
+
+def ref_normalization_constant(end, a, b):
+    raw = lambda lam: np.abs(np.sin(2.0 * (a + b - 2.0 * lam)))
+    return 1.0 / ref_integrate(raw, ref_zeros((a + b) / 2.0, math.pi / 4, end), end)
+
+
+def reference_malus_model():
+    model = bellkit.malus_deterministic_model()
+    return bellkit.FactorizedModel(model.density, model.p_alice, model.p_bob,
+                                   kinks=lambda s: ref_zeros(s + math.pi / 4, math.pi / 2))
+
+
+def same_bits(got, want) -> bool:
+    return float(got).hex() == float(want).hex()
+
+
+def with_examples(test):
+    for a, b in settings_on_kinks:
+        test = example(a, b)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(angles, st.sampled_from([math.pi / 4, math.pi / 2]), st.sampled_from([math.pi, 2 * math.pi]))
+@example(0.0, math.pi / 4, math.pi)
+@example(-0.0, math.pi / 2, math.pi)
+@example(-math.pi / 4, math.pi / 4, 2 * math.pi)
+@example(math.pi - 1e-16, math.pi / 2, math.pi)
+@example(-1e-300, math.pi / 2, math.pi)  # rounds up to the spacing itself
+@example(math.inf, math.pi / 4, math.pi)
+@example(math.nan, math.pi / 2, math.pi)
+def test_zeros(phase, spacing, end):
+    with np.errstate(invalid="ignore"):  # numpy's remainder of inf or nan
+        want = ref_zeros(phase, spacing, end)
+    got = bellkit._zeros(phase, spacing, end)
+    assert type(got) is list and len(got) == want.size
+    assert all(type(x) is float and same_bits(x, y) for x, y in zip(got, want.tolist()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(angles, angles)
+@with_examples
+def test_correlated_expectation(a, b):
+    assert same_bits(bellkit.correlated_expectation(a, b), ref_correlated_expectation(a, b))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), angles, angles)
+@example(0, 0.0, 0.0)
+def test_factorized_correlation_random_model(seed, a, b):
+    model = random_factorized_model(make_rng(seed))
+    assert same_bits(bellkit.factorized_correlation(model, a, b),
+                     ref_factorized_correlation(model, a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(angles, angles)
+@with_examples
+def test_factorized_correlation_malus_model(a, b):
+    got = bellkit.factorized_correlation(bellkit.malus_deterministic_model(), a, b)
+    assert same_bits(got, ref_factorized_correlation(reference_malus_model(), a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["lambda", "a", "b"]), angles, angles)
+@example("lambda", 0.0, 0.0)
+@example("a", math.pi / 4, math.pi / 8)
+@example("b", math.pi - 1e-16, 0.0)
+def test_marginal(which, u, v):
+    assert same_bits(bellkit._marginal(which, u, v), ref_marginal(which, u, v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([math.pi, 2 * math.pi]), angles, angles)
+@example(math.pi, 0.3, 1.1)
+@example(2 * math.pi, 0.3, 1.1)
+@example(2 * math.pi, 0.0, 0.0)
+def test_normalization_constant(end, a, b):
+    assert same_bits(bellkit.normalization_constant(end, a, b),
+                     ref_normalization_constant(end, a, b))
+
+
+@settings(max_examples=20, deadline=None)
+@given(angles, angles)
+@example(0.3, 1.2)
+def test_bisecting_high_frequency_density(a, b):
+    rounds = []
+
+    def density(lam):
+        rounds.append(lam.shape[0])
+        return (1.0 + 0.9 * np.cos(80.0 * lam)) / math.pi
+
+    def response(setting, lam):
+        return 0.5 + 0.4 * np.cos(2.0 * (lam - setting))
+
+    model = bellkit.FactorizedModel(density=density, p_alice=response, p_bob=response)
+    got = bellkit.factorized_correlation(model, a, b)
+    lean_rounds, rounds[:] = list(rounds), []
+    assert same_bits(got, ref_factorized_correlation(model, a, b))
+    # the same panels, round by round: here every integral bisects
+    assert lean_rounds == rounds and len(rounds) >= 10
+
+
+def test_every_grid_cell_takes_one_round(monkeypatch):
+    """Each cell of the 64 x 64 acceptance grid is accepted in the first
+    round: its kinks are declared and merged, so no panel needs a split."""
+    integrate, calls = bellkit._integrate, []
+
+    def counted(f, kinks, end=math.pi):
+        def g(lam):
+            calls[-1] += 1
+            return f(lam)
+        calls.append(0)
+        return integrate(g, kinks, end)
+
+    monkeypatch.setattr(bellkit, "_integrate", counted)
+    grid = np.linspace(0.0, math.pi, 64, endpoint=False).tolist()
+    for a in grid:
+        for b in grid:
+            bellkit.correlated_expectation(a, b)
+    assert len(calls) == 64 * 64 and set(calls) == {1}

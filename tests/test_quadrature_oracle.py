@@ -131,7 +131,9 @@ def _infinite_setting_expectation():
     # needs about 4000 panels; a frequency that is a whole number of cycles
     # per panel would be sampled in phase and could pass the estimate
     lambda: bellkit._integrate(lambda lam: np.cos(12345.678 * lam), ()),
-], ids=["nan_density", "infinite_setting", "unresolved_oscillation"])
+    # a NaN edge makes NaN panels, which split until the cap
+    lambda: bellkit._integrate(np.ones_like, [2.0, math.nan, 1.0]),
+], ids=["nan_density", "infinite_setting", "unresolved_oscillation", "nan_kink"])
 def test_unresolved_integral_raises(evaluate):
     with pytest.raises(bellkit.QuadratureError):
         evaluate()
