@@ -359,14 +359,14 @@ class TripleSamples:
 
 
 def _check_samples(count: int) -> None:
+    if count < 1:
+        raise ValueError(f"sample count must be >= 1, not {shown(count)}")
     if count > SAMPLE_CAP:
         raise SizeCapError(f"{shown(count)} samples exceed cap {SAMPLE_CAP}")
 
 
 def sample_triples(count: int, seed: int) -> TripleSamples:
     """Uniform settings on [0, pi)^2, then lambda from the conditional density."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
     _check_samples(count)
     rng = philox_rng(seed)
     a = rng.random(count) * math.pi

@@ -94,8 +94,13 @@ class SpecialPoint:
     trigger: tuple[int, int]
 
     def __post_init__(self):
-        a, b = (int(self.pair[0]), int(self.pair[1]))
-        p, q = (int(self.trigger[0]), int(self.trigger[1]))
+        a, b, p, q = self.pair[0], self.pair[1], self.trigger[0], self.trigger[1]
+        if not (type(a) is type(b) is type(p) is type(q) is int):  # plain ints: the fast path
+            if not all(map(ontodyn._is_integer, (a, b, p, q))):
+                raise ModelValidationError(
+                    f"special point states and trigger phases must be integers, not "
+                    f"{ontodyn.shown((a, b, p, q))}")
+            a, b, p, q = int(a), int(b), int(p), int(q)
         if a == b:
             raise ModelValidationError(
                 f"special point pairs a state with itself: {ontodyn.shown(a)}")
@@ -121,7 +126,13 @@ class OntologicalModel:
     special_points: tuple[SpecialPoint, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "periods", tuple(int(p) for p in self.periods))
+        periods = tuple(self.periods)
+        if not (ontodyn._is_integer(self.slow_count) and all(map(ontodyn._is_integer, periods))):
+            raise ModelValidationError(
+                f"slow_count and clock periods must be integers, not "
+                f"{ontodyn.shown((self.slow_count, periods))}")
+        object.__setattr__(self, "slow_count", int(self.slow_count))
+        object.__setattr__(self, "periods", tuple(map(int, periods)))
         object.__setattr__(self, "special_points", tuple(self.special_points))
         _validate_model(self)
 

@@ -50,12 +50,15 @@ class PermutationLaw:
     image: np.ndarray
 
     def __post_init__(self):
+        raw = np.asarray(self.image)
+        # an integer too large for int64 leaves raw an object array
+        if (raw.ndim != 1 or raw.size == 0 or raw.dtype.kind not in "iuO"
+                or (raw.dtype.kind == "O" and not all(map(_is_integer, raw)))):
+            raise MalformedLawError("image must be a non-empty 1-d integer array")
         try:
-            img = np.asarray(self.image, dtype=np.int64)
+            img = raw.astype(np.int64, copy=False)
         except OverflowError:
             raise MalformedLawError("image entries must lie in [0, size)") from None
-        if img.ndim != 1 or img.size == 0:
-            raise MalformedLawError("image must be a non-empty 1-d integer array")
         m = img.size
         if img.min() < 0 or img.max() >= m:
             raise MalformedLawError("image entries must lie in [0, size)")
@@ -238,6 +241,11 @@ def spectral_decomposition(law: PermutationLaw) -> SpectralDecomposition:
 
 _SHOWN = reprlib.Repr()
 _SHOWN.maxlevel, _SHOWN.maxlong, _SHOWN.maxstring, _SHOWN.maxother = 3, 20, 100, 100
+
+
+def _is_integer(value) -> bool:
+    """A Python or numpy integer: never a boolean, a float or anything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def shown(value) -> str:

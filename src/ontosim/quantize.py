@@ -17,8 +17,7 @@ leaves an N x N slow-space matrix whose pair (alpha, beta) element has
 magnitude ``(pi/2) * N_s / (N_alpha * N_beta)``, an exact rational multiple
 of pi/2 tracked here in integer arithmetic alongside the float projection.
 :func:`compile_target` inverts this: given a target matrix of such couplings
-it picks clock periods and special-point placements by best rational
-approximation.
+it picks clock periods and special-point placements.
 """
 
 from __future__ import annotations
@@ -41,10 +40,12 @@ if TYPE_CHECKING:  # imported where a matrix is built: most runs never need it
 FULL_HAMILTONIAN_CAP = 2 ** 14
 TARGET_CAP = 2 ** 10
 # A machine has up to max_period**2 points per pair (a 3-state chain target
-# compiles in about 2 s at this cap, 2-CPU VM); a refusal costs O(max_period * pairs).
+# compiles in about 2 s at this cap, 2-CPU VM); a shared-period refusal costs
+# O(max_period * pairs), a period-pair search O(max_period**2), ~20 ms, per pair.
 MAX_PERIOD_CAP = 2000
 INTERCHANGE_CAP = 2 ** 22
 INTERCHANGE_WEIGHT = math.pi / 2
+_SEARCH_ROWS = 32  # period-grid rows per block: memory O(max_period), not its square
 
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
@@ -447,70 +448,38 @@ def target_to_json(target: np.ndarray) -> str:
     return json.dumps({"size": t.shape[0], "couplings": entries}, indent=2)
 
 
-def _rational_candidates(x: float, max_den: int) -> set[tuple[int, int]]:
-    """Convergents and intermediate fractions of x with denominator <= max_den."""
-    out: set[tuple[int, int]] = {(0, 1)}
-    h2, k2 = 0, 1
-    h1, k1 = 1, 0
-    y = x
-    for _ in range(64):
-        a = math.floor(y)
-        # while k1 == 0 every km is 1; past max_den the loop would only add
-        # useless integers (for k1 >= 1 it breaks before then anyway)
-        for m in range(1, min(a, max_den) + 1):
-            km = m * k1 + k2
-            if km > max_den:
-                break
-            out.add((m * h1 + h2, km))
-        h, k = a * h1 + h2, a * k1 + k2
-        if k > max_den:
-            break
-        out.add((h, k))
-        h2, k2, h1, k1 = h1, k1, h, k
-        frac = y - a
-        if frac < 1e-12:
-            break
-        y = 1.0 / frac
-    return out
+def _approximate_coupling(pair: tuple[int, int], mag: float, tolerance: float,
+                          max_period: int) -> tuple[int, tuple[int, int]]:
+    """``(points, (Pa, Pb))``, Pa <= Pb <= ``max_period``, whose coupling is nearest ``mag``.
 
-
-def _factor_pair(q: int, cap: int) -> tuple[int, int] | None:
-    """Split q = d*e with both factors <= cap; prefer coprime, then balanced."""
-    best = None
-    for d in range(1, math.isqrt(q) + 1):
-        if q % d:
+    Every period pair takes its nearest count min(rint(mag/(pi/2) * Pa*Pb), Pa*Pb)
+    and is ranked by :func:`compile_report`'s error, in the same float
+    expression; ties go to the fewest cells, then coprime, then balanced
+    periods.  A least error above ``tolerance`` is refused, naming the nearest miss.
+    """
+    x = min(mag / INTERCHANGE_WEIGHT, 1.0)  # so that no count exceeds its cells
+    best = (math.inf,)  # then (error, cells, shares a factor, Pb, Pa, points)
+    for first in range(1, max_period + 1, _SEARCH_ROWS):
+        rows = np.arange(first, min(first + _SEARCH_ROWS, max_period + 1), dtype=float)
+        cols = np.arange(first, max_period + 1, dtype=float)  # Pb < first was tried as Pa
+        cells = rows[:, None] * cols
+        counts = np.rint(x * cells)
+        errors = np.abs(INTERCHANGE_WEIGHT * counts / cells - mag)
+        least = float(errors.min())
+        if least > best[0]:
             continue
-        e = q // d
-        if e > cap:
-            continue
-        key = (math.gcd(d, e) != 1, e)
-        if best is None or key < best[0]:
-            best = (key, (d, e))
-    return best[1] if best else None
-
-
-def _approximate_coupling(x: float, tol_x: float, max_period: int):
-    """Best (points, (period_a, period_b)) with |points/(Pa*Pb) - x| <= tol_x."""
-    max_den = max_period * max_period
-    candidates = _rational_candidates(x, max_den)
-    fallback = round(x * max_den)
-    if 0 <= fallback <= max_den:
-        g = math.gcd(fallback, max_den) or 1
-        candidates.add((fallback // g, max_den // g))
-    ordered = sorted(candidates, key=lambda pq: (abs(x - pq[0] / pq[1]), pq[1], pq[0]))
-    for p, q in ordered:
-        if abs(x - p / q) > tol_x:
-            break
-        if p == 0:
-            return 0, (1, 1)
-        if p > q:
-            continue
-        factors = _factor_pair(q, max_period)
-        if factors is not None:
-            return p, factors
-    raise UnreachableToleranceError(
-        f"no rational coupling within {tol_x} of {x} with periods <= "
-        f"{ontodyn.shown(max_period)}")
+        ties = np.flatnonzero(errors == least)
+        for k in ties[cells.flat[ties] == cells.flat[ties].min()].tolist():
+            pa, pb = sorted((first + k // cols.size, first + k % cols.size))
+            key = (least, pa * pb, math.gcd(pa, pb) != 1, pb, pa, int(counts.flat[k]))
+            best = min(best, key)
+    error, _, _, pb, pa, points = best
+    if error > tolerance:
+        raise UnreachableToleranceError(
+            f"coupling {mag} for pair {pair} is not within {tolerance} of any machine with "
+            f"periods <= {ontodyn.shown(max_period)}: the nearest, {points} points on "
+            f"periods {(pa, pb)}, misses by {error}")
+    return points, (pa, pb)
 
 
 def _spread_points(period_a: int, period_b: int, count: int) -> list[tuple[int, int]]:
@@ -649,8 +618,9 @@ def _checked_model(target: np.ndarray, periods: list[int], points: list,
 def compile_target(target, tolerance: float, max_period: int) -> fastslow.OntologicalModel:
     """Build a machine whose effective Hamiltonian approximates the target.
 
-    Per-pair magnitudes |H_ab| are matched by (pi/2) * points/(Pa*Pb) using
-    continued-fraction approximants of 2|H_ab|/pi subject to the period cap.
+    Per-pair magnitudes |H_ab| are matched by (pi/2) * points/(Pa*Pb).  With
+    no slow state shared by two coupled pairs, each pair takes the periods of
+    least :func:`compile_report` error (:func:`_approximate_coupling`).
     When slow states are shared between coupled pairs the clock periods are
     tied together: every coupled state gets one shared period q, the largest
     q <= ``max_period`` whose point counts over q*q meet the tolerance within
@@ -670,7 +640,6 @@ def compile_target(target, tolerance: float, max_period: int) -> fastslow.Ontolo
     if max_period > MAX_PERIOD_CAP:
         raise SizeCapError(f"max_period {ontodyn.shown(max_period)} exceeds cap {MAX_PERIOD_CAP}")
     n = t.shape[0]
-    tol_x = tolerance / INTERCHANGE_WEIGHT
     magnitudes = _target_magnitudes(t)
     # points <= Pa*Pb, so no machine couples a pair more strongly than pi/2
     for pair, mag in sorted(magnitudes.items()):
@@ -683,7 +652,7 @@ def compile_target(target, tolerance: float, max_period: int) -> fastslow.Ontolo
         periods = [1] * n
         points: list[fastslow.SpecialPoint] = []
         for (a, b), mag in sorted(magnitudes.items()):
-            count, (pa, pb) = _approximate_coupling(mag / INTERCHANGE_WEIGHT, tol_x, max_period)
+            count, (pa, pb) = _approximate_coupling((a, b), mag, tolerance, max_period)
             if count == 0:
                 continue
             periods[a], periods[b] = pa, pb
@@ -692,6 +661,7 @@ def compile_target(target, tolerance: float, max_period: int) -> fastslow.Ontolo
                 for trig in _spread_points(pa, pb, count))
         return _checked_model(t, periods, points, tolerance)
 
+    tol_x = tolerance / INTERCHANGE_WEIGHT
     refusals = []
     for q in range(max_period, 0, -1):
         try:

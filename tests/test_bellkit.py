@@ -191,8 +191,15 @@ class TestSampling:
         assert abs(r.score - 2 * SQRT2) < 0.05
 
     def test_count_validation(self):
-        with pytest.raises(ValueError):
-            bellkit.sample_triples(0, seed=1)
+        for count in (0, -1):
+            with pytest.raises(ValueError, match="sample count must be >= 1"):
+                bellkit.sample_triples(count, seed=1)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_mc_chsh_refuses_counts_below_one(self, count):
+        # no nan score from an empty mean, no numpy error on a negative size
+        with pytest.raises(ValueError, match="sample count must be >= 1"):
+            bellkit.mc_chsh(*bellkit.STANDARD_SETTINGS, samples_per_setting=count, seed=1)
 
     def test_work_caps(self):
         with pytest.raises(ontodyn.SizeCapError, match="samples exceed cap"):

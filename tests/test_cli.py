@@ -171,10 +171,28 @@ class TestCompile:
     def test_unreachable_tolerance(self, capsys, tmp_path):
         target = tmp_path / "hard.json"
         target.write_text('{"size": 2, "couplings": [{"pair": [0, 1], "imag": 0.345}]}')
-        code, _, _ = run(capsys, "compile", "--input", str(target),
-                         "--tolerance", "1e-9", "--max-period", "3",
-                         "--output", str(tmp_path / "y"))
-        assert code == ExitCode.UNREACHABLE_TOLERANCE
+        code, out, err = run(capsys, "compile", "--input", str(target),
+                             "--tolerance", "1e-9", "--max-period", "3",
+                             "--output", str(tmp_path / "y"))
+        assert code == ExitCode.UNREACHABLE_TOLERANCE and out == ""
+        # 2/9 of pi/2 is the nearest any machine with periods <= 3 comes
+        assert err == ("ontosim: coupling 0.345 for pair (0, 1) is not within 1e-09 of any "
+                       "machine with periods <= 3: the nearest, 2 points on periods (3, 3), "
+                       f"misses by {abs(math.pi / 2 * 2 / 9 - 0.345)}\n")
+
+    def test_pair_search_finds_the_least_error(self, capsys, tmp_path):
+        # 49 points on periods (107, 199) meet the tolerance, at 5.5e-8
+        target = tmp_path / "target.json"
+        target.write_text('{"size": 2, "couplings": [{"pair": [0, 1], '
+                          '"imag": 0.003614812219195901}]}')
+        out_dir = tmp_path / "out"
+        code, _, _ = run(capsys, "compile", "--input", str(target), "--tolerance", "1e-7",
+                         "--max-period", "200", "--output", str(out_dir))
+        assert code == ExitCode.OK
+        report = json.loads((out_dir / "report.json").read_text())
+        assert [(p["num"], p["den"]) for p in report["pairs"]] == [(49, 21293)]
+        assert report["max_abs_error"] <= 1e-7
+        assert fastslow.load_model(out_dir / "model.json").periods == (107, 199)
 
     def test_report_is_the_library_report(self, capsys, tmp_path, monkeypatch):
         def no_hilbert_space(model):

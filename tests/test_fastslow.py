@@ -26,6 +26,29 @@ class TestSpecialPoint:
 
 
 class TestModelValidation:
+    @pytest.mark.parametrize("pair,trigger", [
+        ((0.2, 1), (0, 0)), ((0, 1), (0, 0.9)), ((0, 1.0), (0, 0)), ((False, 1), (0, 0))])
+    def test_special_point_refuses_non_integers(self, pair, trigger):
+        # never truncated: pair (0.2, 1) is not pair (0, 1)
+        with pytest.raises(fastslow.ModelValidationError, match="must be integers"):
+            fastslow.SpecialPoint(pair=pair, trigger=trigger)
+
+    @pytest.mark.parametrize("slow_count,periods", [
+        (2.0, (10, 7)), (2, (10.9, 7)), (2, (10, np.float64(7))), (True, (10,))])
+    def test_model_refuses_non_integers(self, slow_count, periods):
+        with pytest.raises(fastslow.ModelValidationError, match="must be integers"):
+            fastslow.OntologicalModel(slow_count=slow_count, periods=periods)
+
+    def test_numpy_integers_are_stored_as_python_integers(self):
+        m = fastslow.OntologicalModel(
+            slow_count=np.int64(2), periods=(np.int32(10), 7),
+            special_points=(fastslow.SpecialPoint(pair=(np.int64(1), 0),
+                                                  trigger=(np.uint8(3), 4)),))
+        assert type(m.slow_count) is int and all(type(p) is int for p in m.periods)
+        assert m.special_points[0] == fastslow.SpecialPoint(pair=(0, 1), trigger=(4, 3))
+        assert all(type(v) is int for v in (*m.special_points[0].pair,
+                                            *m.special_points[0].trigger))
+
     def test_period_count_mismatch(self):
         with pytest.raises(fastslow.ModelValidationError):
             fastslow.OntologicalModel(slow_count=2, periods=(5,))

@@ -34,6 +34,18 @@ class TestPermutationLaw:
         with pytest.raises(ontodyn.MalformedLawError):
             law([])
 
+    @pytest.mark.parametrize("image", [
+        [0.0, 1.7], np.array([1.0, 0.0]), [True, False], [0, 1.0], ["1", "0"]])
+    def test_rejects_non_integers(self, image):
+        # never truncated: [0.0, 1.7] is not the law [0, 1]
+        with pytest.raises(ontodyn.MalformedLawError, match="integer array"):
+            ontodyn.PermutationLaw(image)
+
+    @pytest.mark.parametrize("image", [
+        [1, 0], [np.int64(1), 0], np.array([1, 0], dtype=np.uint8)])
+    def test_accepts_python_and_numpy_integers(self, image):
+        assert ontodyn.PermutationLaw(image).image.tolist() == [1, 0]
+
     def test_inverse_roundtrip(self):
         rng = make_rng(1)
         for _ in range(20):

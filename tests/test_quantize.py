@@ -6,6 +6,7 @@ import math
 import time
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 from ontosim import fastslow, ontodyn, quantize
 
 from conftest import make_rng, random_model, two_state_model
+
+HALF_PI = quantize.INTERCHANGE_WEIGHT
 
 
 def step_matrix(model) -> np.ndarray:
@@ -354,11 +357,61 @@ class TestCompileTarget:
         with pytest.raises(quantize.UnreachableToleranceError, match="exceeds pi/2"):
             quantize.compile_target(self.pair_target(10.0), 1e-6, 200)
 
-    def test_rational_search_stays_bounded(self):
-        # x's first continued-fraction term is huge, and while k1 == 0 its
-        # intermediate fractions are the integers m/1 below x
-        candidates = quantize._rational_candidates(1e6, 100)
-        assert len(candidates) <= 102
+    @pytest.mark.parametrize("mag,tolerance,compiles", [
+        (0.0123, 1e-4, True), (0.01, 1e-13, False)])
+    def test_pair_search_at_the_period_cap_is_quick(self, mag, tolerance, compiles):
+        # every period pair up to the cap is tried, a block of rows at a time
+        target = self.pair_target(mag)
+        start = time.perf_counter()
+        try:
+            m = quantize.compile_target(target, tolerance, quantize.MAX_PERIOD_CAP)
+        except quantize.UnreachableToleranceError:
+            m = None
+        assert time.perf_counter() - start < 1.0
+        assert (m is not None) == compiles
+        if compiles:
+            assert quantize.compile_report(m, target)["max_abs_error"] <= tolerance
+
+    @staticmethod
+    def best_pair(mag: float, max_period: int) -> tuple:
+        """Brute force over every Pa <= Pb <= max_period with its nearest count:
+        the least (error, cells, shares a factor, Pb, Pa, count), the error in
+        compile_report's float expression."""
+        x = mag / quantize.INTERCHANGE_WEIGHT
+        keys = []
+        for pa in range(1, max_period + 1):
+            for pb in range(pa, max_period + 1):
+                cells = pa * pb
+                count = min(round(x * cells), cells)
+                error = abs(quantize.INTERCHANGE_WEIGHT * count / cells - mag)
+                keys.append((error, cells, math.gcd(pa, pb) != 1, pb, pa, count))
+        return min(keys)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mag=st.one_of(
+               st.floats(1e-6, 1.6),
+               # exact hits (pi/2) k/(Pa*Pb), which tie with their multiples
+               st.builds(lambda pa, pb, k: HALF_PI * min(k, pa * pb) / (pa * pb),
+                         st.integers(1, 16), st.integers(1, 16), st.integers(1, 256))),
+           tolerance=st.floats(-6.0, -1.0).map(lambda e: 10.0 ** e),
+           max_period=st.integers(1, 16),
+           rows=st.sampled_from([1, 3, quantize._SEARCH_ROWS]))
+    def test_pair_search_oracle(self, mag, tolerance, max_period, rows):
+        # the compiled machine's report error is the least over every period
+        # pair, and the compiler refuses iff that least error misses; small
+        # blocks of rows carry the best candidate and its ties across blocks
+        error, _, _, pb, pa, count = self.best_pair(mag, max_period)
+        target = self.pair_target(mag)
+        try:
+            with mock.patch.object(quantize, "_SEARCH_ROWS", rows):
+                m = quantize.compile_target(target, tolerance, max_period)
+        except quantize.UnreachableToleranceError:
+            assert error > tolerance
+            return
+        assert error <= tolerance
+        assert quantize.compile_report(m, target)["max_abs_error"] == error
+        assert m.periods == ((pa, pb) if count else (1, 1))
+        assert len(m.special_points) == count
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_target_refused(self, value):
@@ -662,6 +715,22 @@ def test_shared_period_star_compiles_as_before():
     digest = hashlib.sha256(fastslow.model_to_json(model).encode()).hexdigest()
     assert model.periods == (60, 60, 60, 60) and len(model.special_points) == 1080
     assert digest.startswith("cc26efb01d8d3966")
+
+
+def test_snapped_two_state_targets_compile_as_before():
+    # (pi/2) K/(Pa*Pb) on distinct prime periods, K coprime to both, as the
+    # benchmark snaps its 2-state targets: each compiles to exactly its K points
+    digest = hashlib.sha256()
+    primes = (37, 41, 43, 47, 79, 83, 89, 97)
+    for i, (pa, pb) in enumerate(itertools.islice(itertools.combinations(primes, 2), 20)):
+        k = max(1, round(10 ** (-3 + 2.5 * i / 19) * pa * pb))
+        while k % pa == 0 or k % pb == 0:
+            k += 1
+        mag = quantize.INTERCHANGE_WEIGHT * k / (pa * pb)
+        model = quantize.compile_target(np.array([[0, 1j * mag], [-1j * mag, 0]]), 1e-4, 200)
+        assert model.periods == (pa, pb) and len(model.special_points) == k
+        digest.update(fastslow.model_to_json(model).encode())
+    assert digest.hexdigest().startswith("31639b0e4a023e9a")
 
 
 def test_target_size_cap():
