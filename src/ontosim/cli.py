@@ -132,17 +132,15 @@ def _cmd_cycles(opts) -> int:
 
 def _cmd_spectrum(opts) -> int:
     kind, obj = _load_law_or_model(opts.input)
-    with _out_stream(opts.output) as fh:
-        if kind == "law":
+    if kind == "law":
+        with _out_stream(opts.output) as fh:
             ontodyn.write_spectrum_csv(ontodyn.decompose(obj), fh)
-        else:
-            if obj.ontic_space_size > fastslow.ENUMERATION_CAP:
-                raise ontodyn.SizeCapError(f"ontic space {ontodyn.shown(obj.ontic_space_size)} "
-                                           "too large for a spectrum table")
-            levels = quantize.free_energy_levels(obj)
-            distinct, counts = np.unique(np.round(levels, 12), return_counts=True)
-            ontodyn.write_csv(fh, ["level", "energy", "multiplicity"],
-                              [(np.arange(distinct.size), distinct, counts)])
+        return ExitCode.OK
+    levels = quantize.free_energy_levels(obj)  # refuses the size cap before any file opens
+    distinct, counts = np.unique(np.round(levels, 12), return_counts=True)
+    with _out_stream(opts.output) as fh:
+        ontodyn.write_csv(fh, ["level", "energy", "multiplicity"],
+                          [(np.arange(distinct.size), distinct, counts)])
     return ExitCode.OK
 
 

@@ -36,10 +36,10 @@ The step's cycles (:func:`check_bijectivity`) are not walked config by
 config either.  The tick moves every phase along its tick orbit, of length
 L = lcm(periods) (:func:`_tick_orbits`), and a swap changes only the slow
 state, so each (slow state, orbit) row, in tick order, splits into runs
-that end where the step image changes slow state or the lap ends.  Only the
-permutation of runs is walked, and numpy proves the joined listing against
-the image before it is returned: every config once, each stepping to the
-next config of its cycle.
+that end where the step image is not the row's next config, or the lap
+ends.  The runs are read from the image, not predicted: only where each run
+ends is the step located and checked (it ticks, onto a run's start, each
+start once), and only the permutation of runs is walked.
 
 Clock periods are meant to be large compared with the inverse couplings of
 interest; that is a soft convention, so the builder only warns (never
@@ -347,18 +347,23 @@ def _slices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(int(lengths.sum()), dtype=np.int32) + np.repeat(skip, lengths)
 
 
-def _cycle_listing(model: OntologicalModel, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every ontic state, cycle by cycle, and the cycle lengths, as the runs
-    of the tick orbits give them (unproved; :func:`check_bijectivity`).
+def check_bijectivity(model: OntologicalModel) -> ontodyn.CycleDecomposition:
+    """The cycles of the step map, read from :func:`step_tables`.
 
-    Each (slow state, orbit) row of ``states`` lists the configs in tick
-    order.  A run ends where ``image`` leaves the row's slow state, and at
-    the end of the lap.  Only the permutation that takes each run to the run
-    after it is walked.  Each cycle, its runs joined in walk order, is then
-    turned to start at its smallest state, and the cycles are ordered by it.
-    Each ontic-sized array is deleted after its last use: the heap a call
-    leaves behind stays resident under the tuples the caller builds next.
+    The tick carries every config along its phase's tick orbit
+    (:func:`_tick_orbits`) and a swap changes only its slow state, so each
+    (slow state, orbit) row, in tick order, splits into runs that end where
+    the image is not the row's next config, and at the end of the lap.
+    Only the run ends' images are located, through the phase-sized inverse
+    of the orbit table: unless each ticks, onto a run's start, and each start
+    is reached once, :class:`ontodyn.InternalCheckError` is raised.  So the
+    image is a bijection that ticks, and the runs, joined in walk order, are
+    its cycles; each is turned to start at its smallest state, in
+    :func:`ontodyn.decompose`'s order.  Each ontic-sized array is freed at
+    its last use: the heap a call leaves behind stays resident under the
+    tuples built from the listing.
     """
+    image = step_tables(model)
     n, p_total = model.slow_count, model.phase_space_size
     table = _tick_orbits(model)
     lap = table.shape[1]
@@ -368,24 +373,23 @@ def _cycle_listing(model: OntologicalModel, image: np.ndarray) -> tuple[np.ndarr
     where = np.empty(p_total, dtype=np.int32)
     where[table] = np.arange(p_total, dtype=np.int32)
     del table
-    # hop[k]: how far the image of states[k] jumps to another slow state's rows, or 0
-    rows, low = image.reshape(n, -1), np.arange(n)[:, None] * p_total
-    moved = np.flatnonzero((rows < low) | (rows >= low + p_total))
-    block = moved - moved % p_total
-    hop = np.zeros(image.size, dtype=np.int32)
-    hop[block + where[moved - block]] = image[moved] // p_total * p_total - block
-    del where, moved, block
-    ends = hop != 0
+    ends = np.append(image[states[:-1]] != states[1:], True)
     ends[lap - 1::lap] = True
     ends = np.flatnonzero(ends)
+    into = image[states[ends]]
+    del image
     starts = np.append(0, ends[:-1] + 1)
-    # a run's last state steps into the run of the next tick in the row it hops
-    # to; an image off the tick orbits may point past the last run
     tick = ends % lap
-    into = ends + hop[ends] - tick + (tick + 1) % lap
-    del hop
-    after = np.minimum(np.searchsorted(starts, into), starts.size - 1).tolist()
+    phase = where[into % p_total]
+    into = into // p_total * p_total + phase
+    after = np.minimum(np.searchsorted(starts, into), starts.size - 1)
+    if not (np.array_equal(phase, ends % p_total - tick + (tick + 1) % lap)
+            and np.array_equal(starts[after], into)
+            and np.bincount(after).max() == 1):
+        raise ontodyn.InternalCheckError("the step map does not follow its clocks' tick orbits")
+    del where, phase, into, tick
 
+    after = after.tolist()
     walk, bounds, seen = [], [], bytearray(len(after))
     for first in range(len(after)):
         if not seen[first]:
@@ -409,31 +413,6 @@ def _cycle_listing(model: OntologicalModel, image: np.ndarray) -> tuple[np.ndarr
     # each cycle is two slices of the walk's listing: from its anchor on, then up to it
     listing = listing[_slices(np.stack([first + shift, first], axis=1).reshape(-1),
                               np.stack([lengths - shift, shift], axis=1).reshape(-1))]
-    return listing, lengths
-
-
-def check_bijectivity(model: OntologicalModel) -> ontodyn.CycleDecomposition:
-    """The cycles of the step map, proved against :func:`step_tables`.
-
-    The tick carries every config along its phase's tick orbit
-    (:func:`_tick_orbits`) and a swap changes only its slow state, so the
-    cycles are runs of tick orbits joined end to end (:func:`_cycle_listing`).
-    Before anything is returned, numpy proves that the listing holds every
-    ontic state exactly once and that the image takes each state to the next
-    one of its cycle.  So the listing is the image's cycle decomposition, in
-    :func:`ontodyn.decompose`'s order, and the image a bijection, however the
-    runs were found; a failed proof raises :class:`ontodyn.InternalCheckError`.
-    The int32 arrays are freed before the tuples are built.
-    """
-    image = step_tables(model)
-    listing, lengths = _cycle_listing(model, image)
-    last = np.cumsum(lengths) - 1
-    ahead = np.full(image.size, -1, dtype=np.int32)
-    ahead[listing[:-1]] = listing[1:]
-    ahead[listing[last]] = listing[last - lengths + 1]
-    if not (listing.size == image.size and ahead.min() >= 0 and np.array_equal(image, ahead)):
-        raise ontodyn.InternalCheckError("the step map does not follow its clocks' tick orbits")
-    del image, ahead
     flat = iter(listing.tolist())
     del listing
     lengths = lengths.tolist()

@@ -140,8 +140,11 @@ def free_energy_levels(model: fastslow.OntologicalModel) -> np.ndarray:
     """All eigenvalues 2*pi*sum_i n_i/T_i of the free Hamiltonian, sorted.
 
     Computed from the direct-sum formula, with the slow-state multiplicity
-    included; no matrix is built.
-    """
+    included; no matrix is built.  More than :data:`fastslow.ENUMERATION_CAP`
+    levels are refused (SizeCapError) before any allocation."""
+    if model.ontic_space_size > fastslow.ENUMERATION_CAP:
+        raise SizeCapError(f"ontic space {ontodyn.shown(model.ontic_space_size)} exceeds "
+                           f"enumeration cap {fastslow.ENUMERATION_CAP}")
     levels = np.zeros(1)
     for period in model.periods:
         levels = (levels[:, None] + 2.0 * np.pi * np.arange(period) / period).reshape(-1)
@@ -412,7 +415,8 @@ def validate_target(target) -> np.ndarray:
 
 
 def target_from_json(text: str) -> np.ndarray:
-    """Parse ``{"size": N, "couplings": [{"pair": [a, b], "imag": v}, ...]}``."""
+    """Parse ``{"size": N, "couplings": [{"pair": [a, b], "imag": v}, ...]}``;
+    a pair listed twice, in either order, is refused, never summed."""
     doc = ontodyn.json_object(json.loads(text), "target document", ("size",))
     n = ontodyn.json_int(doc["size"], "target field 'size'", 0)
     entries = ontodyn.json_objects(doc.get("couplings", []), "target field 'couplings'",
@@ -423,14 +427,14 @@ def target_from_json(text: str) -> np.ndarray:
     if n > TARGET_CAP:
         raise SizeCapError(f"target size {ontodyn.shown(n)} exceeds cap {TARGET_CAP}")
     t = np.zeros((n, n), dtype=complex)
+    listed = set()
     for (a, b), v in couplings:
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"coupling references unknown state: {ontodyn.shown([a, b])}")
-        if a == b:
-            t[a, a] += 1j * v
-        else:
-            t[a, b] += 1j * v
-            t[b, a] += -1j * v
+        if {(a, b), (b, a)} & listed:
+            raise ValueError(f"target field 'pair' lists {ontodyn.shown([a, b])} twice")
+        listed.add((a, b))
+        t[b, a], t[a, b] = -1j * v, 1j * v  # on the diagonal, 1j * v stands
     return t
 
 
@@ -448,23 +452,29 @@ def target_to_json(target: np.ndarray) -> str:
     return json.dumps({"size": t.shape[0], "couplings": entries}, indent=2)
 
 
+def _nearest_count(mag: float, cells):
+    """``(count, error)``: the point count nearest ``mag`` over ``cells`` (a number
+    or an array), rint(min(mag/(pi/2), 1) * cells), so at most ``cells``, and its
+    error |(pi/2) * count/cells - mag|, the float expression :func:`compile_report`
+    prints."""
+    count = np.rint(min(mag / INTERCHANGE_WEIGHT, 1.0) * cells)
+    return count, np.abs(INTERCHANGE_WEIGHT * count / cells - mag)
+
+
 def _approximate_coupling(pair: tuple[int, int], mag: float, tolerance: float,
                           max_period: int) -> tuple[int, tuple[int, int]]:
     """``(points, (Pa, Pb))``, Pa <= Pb <= ``max_period``, whose coupling is nearest ``mag``.
 
-    Every period pair takes its nearest count min(rint(mag/(pi/2) * Pa*Pb), Pa*Pb)
-    and is ranked by :func:`compile_report`'s error, in the same float
-    expression; ties go to the fewest cells, then coprime, then balanced
-    periods.  A least error above ``tolerance`` is refused, naming the nearest miss.
+    Every period pair takes its :func:`_nearest_count` and is ranked by its
+    error; ties go to the fewest cells, then coprime, then balanced periods.
+    A least error above ``tolerance`` is refused, naming the nearest miss.
     """
-    x = min(mag / INTERCHANGE_WEIGHT, 1.0)  # so that no count exceeds its cells
     best = (math.inf,)  # then (error, cells, shares a factor, Pb, Pa, points)
     for first in range(1, max_period + 1, _SEARCH_ROWS):
         rows = np.arange(first, min(first + _SEARCH_ROWS, max_period + 1), dtype=float)
         cols = np.arange(first, max_period + 1, dtype=float)  # Pb < first was tried as Pa
         cells = rows[:, None] * cols
-        counts = np.rint(x * cells)
-        errors = np.abs(INTERCHANGE_WEIGHT * counts / cells - mag)
+        counts, errors = _nearest_count(mag, cells)
         least = float(errors.min())
         if least > best[0]:
             continue
@@ -568,24 +578,24 @@ def compile_report(model: fastslow.OntologicalModel, target) -> dict:
             "max_abs_error": max((p["abs_error"] for p in pairs), default=0.0)}
 
 
-def _shared_period_points(n: int, magnitudes: dict, tol_x: float,
+def _shared_period_points(n: int, magnitudes: dict, tolerance: float,
                           q: int) -> list[fastslow.SpecialPoint]:
     """Trigger cells for every coupled pair with all coupled clocks at period q.
 
-    Counts are rounded against the common denominator q*q, and each state's
-    pairs take disjoint blocks of trigger values so that firing sets never
-    conflict.  A count off by more than ``tol_x`` or a state whose blocks
-    overflow its q values raises UnreachableToleranceError, before any point is built.
+    Each pair takes its :func:`_nearest_count` over q*q cells, and each
+    state's pairs take disjoint blocks of trigger values so that firing sets
+    never conflict.  A count whose error exceeds ``tolerance`` or a state whose
+    blocks overflow its q values raises UnreachableToleranceError, before any
+    point is built.
     """
     counts: dict[tuple[int, int], int] = {}
     for pair, mag in sorted(magnitudes.items()):
-        x = mag / INTERCHANGE_WEIGHT
-        c = round(x * q * q)
-        if c > q * q or abs(x - c / (q * q)) > tol_x:
+        count, error = _nearest_count(mag, q * q)
+        if error > tolerance:
             raise UnreachableToleranceError(
                 f"coupling {mag} for pair {pair} not reachable with shared period {q}")
-        if c:
-            counts[pair] = c
+        if count:
+            counts[pair] = int(count)
     blocks = []  # (pair, count, block side, first value on a's clock, on b's)
     offsets = [0] * n
     for (a, b), count in counts.items():
@@ -601,35 +611,22 @@ def _shared_period_points(n: int, magnitudes: dict, tol_x: float,
             for k in (j * side * side // count for j in range(count))]
 
 
-def _checked_model(target: np.ndarray, periods: list[int], points: list,
-                   tolerance: float) -> fastslow.OntologicalModel:
-    """The machine of ``periods`` and ``points``, unless a :func:`compile_report`
-    entry is off by more than ``tolerance`` (UnreachableToleranceError)."""
-    model = fastslow.OntologicalModel(
-        slow_count=len(periods), periods=tuple(periods), special_points=tuple(points))
-    for entry in compile_report(model, target)["pairs"]:
-        if entry["abs_error"] > tolerance:
-            raise UnreachableToleranceError(
-                f"achieved coupling {entry['achieved']} for pair {tuple(entry['pair'])} "
-                f"misses target {entry['target']}")
-    return model
-
-
 def compile_target(target, tolerance: float, max_period: int) -> fastslow.OntologicalModel:
     """Build a machine whose effective Hamiltonian approximates the target.
 
-    Per-pair magnitudes |H_ab| are matched by (pi/2) * points/(Pa*Pb).  With
-    no slow state shared by two coupled pairs, each pair takes the periods of
-    least :func:`compile_report` error (:func:`_approximate_coupling`).
-    When slow states are shared between coupled pairs the clock periods are
-    tied together: every coupled state gets one shared period q, the largest
-    q <= ``max_period`` whose point counts over q*q meet the tolerance within
-    the trigger budget (:func:`_shared_period_points`).  Trigger cells are
-    spread evenly and never collide on a shared clock, so the result always
-    passes the builder's conflict scan.  A ``max_period`` above
-    :data:`MAX_PERIOD_CAP` is refused (SizeCapError) before any search.  If
-    no :func:`compile_report` entry can be brought within ``tolerance``,
-    UnreachableToleranceError is raised.
+    Per-pair magnitudes |H_ab| are matched by (pi/2) * points/(Pa*Pb), each
+    count judged once, by its :func:`compile_report` error
+    (:func:`_nearest_count`), so the machine is built once.  With no slow
+    state shared by two coupled pairs, each pair takes the periods of least
+    error (:func:`_approximate_coupling`).  When slow states are shared, every
+    coupled clock gets one period q, the largest q <= ``max_period`` whose
+    counts over q*q meet the tolerance within the trigger budget
+    (:func:`_shared_period_points`).  Trigger cells are spread evenly and
+    never collide on a shared clock, so the result always passes the
+    builder's conflict scan.  A ``max_period`` above :data:`MAX_PERIOD_CAP` is
+    refused (SizeCapError) before any search.  If no machine's errors are all
+    within ``tolerance``, UnreachableToleranceError is raised, with the
+    reason of q = ``max_period`` on the shared path.
     """
     t = validate_target(target)
     _check_loop_signs(t)
@@ -659,15 +656,16 @@ def compile_target(target, tolerance: float, max_period: int) -> fastslow.Ontolo
             points.extend(
                 fastslow.SpecialPoint(pair=(a, b), trigger=trig)
                 for trig in _spread_points(pa, pb, count))
-        return _checked_model(t, periods, points, tolerance)
-
-    tol_x = tolerance / INTERCHANGE_WEIGHT
-    refusals = []
-    for q in range(max_period, 0, -1):
-        try:
-            points = _shared_period_points(n, magnitudes, tol_x, q)
-            periods = [q if s in degree else 1 for s in range(n)]
-            return _checked_model(t, periods, points, tolerance)
-        except UnreachableToleranceError as exc:
-            refusals.append(exc)
-    raise refusals[0]
+    else:
+        refusal = None  # that of q = max_period, if no q works
+        for q in range(max_period, 0, -1):
+            try:
+                points = _shared_period_points(n, magnitudes, tolerance, q)
+                break
+            except UnreachableToleranceError as exc:
+                refusal = refusal or exc
+        else:
+            raise refusal
+        periods = [q if s in degree else 1 for s in range(n)]
+    return fastslow.OntologicalModel(
+        slow_count=n, periods=tuple(periods), special_points=tuple(points))

@@ -109,6 +109,14 @@ class TestSpectrum:
         assert np.allclose(energies, expected, atol=1e-10)
         assert mult == [2] * 6
 
+    def test_model_over_the_cap_writes_no_file(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"slow_count": 2, "periods": [1000, 1001]}')
+        out = tmp_path / "levels.csv"
+        code, _, err = run(capsys, "spectrum", "--input", str(path), "--output", str(out))
+        assert code == ExitCode.SIZE_CAP and "2002000" in err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_deterministic_output(self, capsys, tmp_path):
@@ -193,6 +201,21 @@ class TestCompile:
         assert [(p["num"], p["den"]) for p in report["pairs"]] == [(49, 21293)]
         assert report["max_abs_error"] <= 1e-7
         assert fastslow.load_model(out_dir / "model.json").periods == (107, 199)
+
+    def test_shared_period_meets_a_tolerance_at_its_bound(self, capsys, tmp_path):
+        # 41/144 misses |H_01| by exactly the tolerance, in the report's expression
+        target = tmp_path / "chain.json"
+        target.write_text('{"size": 3, "couplings": ['
+                          '{"pair": [0, 1], "imag": -0.4447475445728595}, '
+                          '{"pair": [1, 2], "imag": -0.01090830782496456}]}')
+        out_dir = tmp_path / "out"
+        code, _, _ = run(capsys, "compile", "--input", str(target),
+                         "--tolerance", "0.0024930762506873982", "--max-period", "12",
+                         "--output", str(out_dir))
+        assert code == ExitCode.OK
+        report = json.loads((out_dir / "report.json").read_text())
+        assert [(p["num"], p["den"]) for p in report["pairs"]] == [(41, 144), (1, 144)]
+        assert report["max_abs_error"] == 0.0024930762506873982
 
     def test_report_is_the_library_report(self, capsys, tmp_path, monkeypatch):
         def no_hilbert_space(model):
@@ -481,6 +504,13 @@ class TestStrictDocuments:
         ("compile", {"size": 2, "couplings": [{"pair": [0, 1], "imag": 10 ** 400}]}, "imag"),
         ("cycles", {"slow_count": 2, "periods": [10, 7], "special_points": 5}, "special_points"),
         ("cycles", {"slow_count": 2, "periods": [10, 7], "special_points": [5]}, "special_points"),
+        # a pair listed twice, in either order or on the diagonal, is never summed
+        ("compile", {"size": 2, "couplings": [{"pair": [0, 1], "imag": -0.01},
+                                              {"pair": [1, 0], "imag": -0.01}]}, "pair"),
+        ("compile", {"size": 2, "couplings": [{"pair": [0, 1], "imag": -0.01},
+                                              {"pair": [0, 1], "imag": -0.01}]}, "pair"),
+        ("compile", {"size": 2, "couplings": [{"pair": [1, 1], "imag": 0.5},
+                                              {"pair": [1, 1], "imag": -0.5}]}, "pair"),
     ])
     def test_non_integer_field_is_parse_error(self, capsys, tmp_path, command, doc, field):
         path = tmp_path / "doc.json"

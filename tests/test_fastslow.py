@@ -170,6 +170,13 @@ def _swapped(image: np.ndarray, i: int, j: int) -> np.ndarray:
     return image
 
 
+def _retargeted(image: np.ndarray, p: int, slows: dict) -> np.ndarray:
+    """Config k steps to slow state ``slows[k]``, at the phase it ticks to."""
+    for k, slow in slows.items():
+        image[k] = slow * p + image[k] % p
+    return image
+
+
 def coupled(size: int, magnitudes: dict) -> np.ndarray:
     target = np.zeros((size, size), dtype=complex)
     for (a, b), x in magnitudes.items():
@@ -229,7 +236,14 @@ class TestCycleListing:
         lambda image, p: _swapped(image, 5, 2 * p + 11),  # ... and changes slow state
         lambda image, p: (image + 1) % image.size,
         lambda image, p: np.where(np.arange(image.size) == 7, image[8], image),  # no bijection
-    ], ids=["swap_in_row", "swap_across_rows", "shift", "duplicate"])
+        lambda image, p: np.where(image < p, image + p, image),  # ticks, but no bijection
+        # ticks, and the runs' ends still reach distinct runs, but one end
+        # steps into the middle of a run
+        lambda image, p: _retargeted(image, p, {p + 44: 0, 69: 2}),
+        # ticks, and lands on a run's start, which another end reaches too
+        lambda image, p: _retargeted(image, p, {2 * p + 119: 0}),
+    ], ids=["swap_in_row", "swap_across_rows", "shift", "duplicate", "tick_into_one_state",
+            "end_into_mid_run", "end_onto_a_reached_start"])
     def test_a_step_map_that_breaks_the_tick_is_refused(self, monkeypatch, change):
         model = self.machine()
         self.tamper(monkeypatch, model, change)

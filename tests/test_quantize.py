@@ -548,6 +548,34 @@ class TestCompileTarget:
             outcomes["at_cap" if working[-1] == max_period else "below_cap"] += 1
         assert min(outcomes.values()) >= 10, outcomes  # both sides of the iff are exercised
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([3, 4]))
+    def test_shared_period_tolerance_at_an_exact_error(self, data, n):
+        # the tolerance is exactly one pair's report error at some q, so that
+        # count sits right at its bound: the target still compiles iff some q
+        # works, at the largest, as the report judges it
+        all_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        pairs = data.draw(st.lists(st.sampled_from(all_pairs), min_size=2, unique=True)
+                          .filter(lambda ps: max(Counter(s for p in ps for s in p).values()) > 1))
+        mags = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=len(pairs),
+                                  max_size=len(pairs)))
+        target = self.couplings_target(n, dict(zip(pairs, mags)))
+        mag, q = data.draw(st.sampled_from(mags)), data.draw(st.integers(1, 12))
+        tolerance = float(np.abs(HALF_PI * np.arange(q * q + 1) / (q * q) - mag).min())
+        if tolerance == 0.0:
+            tolerance = math.ulp(0.0)
+        max_period = data.draw(st.integers(1, 12))
+        working = [k for k in range(1, max_period + 1)
+                   if self.shared_period_works(target, tolerance, k)]
+        try:
+            m = quantize.compile_target(target, tolerance, max_period)
+        except quantize.UnreachableToleranceError:
+            assert working == []
+            return
+        assert working
+        assert {m.periods[s] for p in pairs for s in p} == {working[-1]}
+        assert quantize.compile_report(m, target)["max_abs_error"] <= tolerance
+
     def test_compiled_model_passes_builder_and_projection(self):
         target = self.pair_target(0.0123)
         m = quantize.compile_target(target, 1e-4, 150)
@@ -731,6 +759,13 @@ def test_snapped_two_state_targets_compile_as_before():
         assert model.periods == (pa, pb) and len(model.special_points) == k
         digest.update(fastslow.model_to_json(model).encode())
     assert digest.hexdigest().startswith("31639b0e4a023e9a")
+
+
+def test_free_levels_size_cap():
+    # (3000, 3001) would take 343 MiB of levels; refused before any allocation
+    model = fastslow.OntologicalModel(slow_count=2, periods=(3000, 3001))
+    with pytest.raises(ontodyn.SizeCapError, match="enumeration cap"):
+        quantize.free_energy_levels(model)
 
 
 def test_target_size_cap():
