@@ -125,8 +125,7 @@ def _cmd_cycles(opts) -> int:
     kind, obj = _load_law_or_model(opts.input)
     decomp = ontodyn.decompose(obj) if kind == "law" else fastslow.check_bijectivity(obj)
     with _out_stream(opts.output) as fh:
-        json.dump(ontodyn.cycles_report(decomp), fh)
-        fh.write("\n")
+        fh.write(json.dumps(ontodyn.cycles_report(decomp)) + "\n")
     return ExitCode.OK
 
 
@@ -154,10 +153,13 @@ def _cmd_simulate(opts) -> int:
     return ExitCode.OK
 
 
-def _write_comparison(model, opts, dest: str | None) -> None:
+def _comparison(model, opts) -> quantize.DynamicsComparison:
+    return quantize.compare_dynamics(model, opts.initial, opts.horizon,
+                                     sample_count=opts.samples, seed=opts.seed)
+
+
+def _write_comparison(comparison, dest: str | None) -> None:
     """Write the comparison CSV to ``dest`` and its residuals to stderr."""
-    comparison = quantize.compare_dynamics(model, opts.initial, opts.horizon,
-                                           sample_count=opts.samples, seed=opts.seed)
     with _out_stream(dest) as fh:
         quantize.write_comparison_csv(comparison, fh)
     print(f"max |classical - quantum| = {comparison.max_classical_quantum:.3e}, "
@@ -167,17 +169,17 @@ def _write_comparison(model, opts, dest: str | None) -> None:
 
 def _cmd_compile(opts) -> int:
     target = quantize.load_target(opts.input)
-    out_dir = Path(opts.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     with _warnings_against(opts.input):
         model = quantize.compile_target(target, opts.tolerance, opts.max_period)
-    (out_dir / "model.json").write_text(fastslow.model_to_json(model) + "\n", encoding="utf-8")
     report = {"tolerance": opts.tolerance, "max_period": opts.max_period,
               **quantize.compile_report(model, target)}
+    comparison = _comparison(model, opts) if opts.horizon is not None else None
+    out_dir = Path(opts.output)  # made only now: a refusal above leaves nothing behind
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "model.json").write_text(fastslow.model_to_json(model) + "\n", encoding="utf-8")
     (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    if opts.horizon is not None:
-        _write_comparison(model, opts, str(out_dir / "comparison.csv"))
+    if comparison is not None:
+        _write_comparison(comparison, str(out_dir / "comparison.csv"))
     return ExitCode.OK
 
 
@@ -185,7 +187,7 @@ def _cmd_compare(opts) -> int:
     kind, model = _load_law_or_model(opts.input)
     if kind != "model":
         raise UsageError("compare needs a model file, not a permutation")
-    _write_comparison(model, opts, opts.output)
+    _write_comparison(_comparison(model, opts), opts.output)
     return ExitCode.OK
 
 
@@ -303,30 +305,26 @@ def main(argv=None) -> int:
         print("ontosim: file not found or not readable/writable: "
               f"{ontodyn.shown(exc.filename)} ({exc.strerror})", file=sys.stderr)
         return ExitCode.FILE_NOT_FOUND
-    except UsageError as exc:
-        print(f"ontosim: {exc}", file=sys.stderr)
-        return ExitCode.USAGE
-    except json.JSONDecodeError as exc:
-        print(f"ontosim: malformed JSON: {exc}", file=sys.stderr)
-        return ExitCode.PARSE_ERROR
+    except ValueError as exc:
+        # each kind of refused input, most specific first, as README's exit-code
+        # table lists them: (exception kinds, exit code, message lead)
+        refusals = (
+            (UsageError, ExitCode.USAGE, ""),
+            (json.JSONDecodeError, ExitCode.PARSE_ERROR, "malformed JSON: "),
+            ((ontodyn.MalformedLawError, fastslow.ModelValidationError, fastslow.ConfigError),
+             ExitCode.INVALID_MODEL, "invalid input: "),
+            (ontodyn.SizeCapError, ExitCode.SIZE_CAP, ""),
+            (quantize.NotRepresentableError, ExitCode.NOT_REPRESENTABLE,
+             "target not representable: "),
+            (quantize.UnreachableToleranceError, ExitCode.UNREACHABLE_TOLERANCE, ""),
+            (ValueError, ExitCode.PARSE_ERROR, "cannot parse input: "),
+        )
+        code, lead = next((code, lead) for kinds, code, lead in refusals
+                          if isinstance(exc, kinds))
+        print(f"ontosim: {lead}{exc}", file=sys.stderr)
+        return code
     except RecursionError:  # json's decoder, on a document nested too deeply
         print("ontosim: malformed JSON: nested too deeply", file=sys.stderr)
-        return ExitCode.PARSE_ERROR
-    except ontodyn.SizeCapError as exc:
-        print(f"ontosim: {exc}", file=sys.stderr)
-        return ExitCode.SIZE_CAP
-    except quantize.NotRepresentableError as exc:
-        print(f"ontosim: target not representable: {exc}", file=sys.stderr)
-        return ExitCode.NOT_REPRESENTABLE
-    except quantize.UnreachableToleranceError as exc:
-        print(f"ontosim: {exc}", file=sys.stderr)
-        return ExitCode.UNREACHABLE_TOLERANCE
-    except (ontodyn.MalformedLawError, fastslow.ModelValidationError,
-            fastslow.ConfigError) as exc:
-        print(f"ontosim: invalid input: {exc}", file=sys.stderr)
-        return ExitCode.INVALID_MODEL
-    except ValueError as exc:
-        print(f"ontosim: cannot parse input: {exc}", file=sys.stderr)
         return ExitCode.PARSE_ERROR
     except ontodyn.InternalCheckError as exc:
         print(f"ontosim: internal check failed: {ontodyn.shown(str(exc))}", file=sys.stderr)

@@ -15,7 +15,8 @@ slow-major (see :func:`ontosim.fastslow.flat_config`).  On it live:
 Projecting the interchange Hamiltonian onto the clocks' uniform ground states
 leaves an N x N slow-space matrix whose pair (alpha, beta) element has
 magnitude ``(pi/2) * N_s / (N_alpha * N_beta)``, an exact rational multiple
-of pi/2 tracked here in integer arithmetic alongside the float projection.
+of pi/2 tracked here in integer arithmetic: the matrix is checked by counting
+its entries per slow block, never by summing them as floats.
 :func:`compile_target` inverts this: given a target matrix of such couplings
 it picks clock periods and special-point placements.
 """
@@ -63,7 +64,7 @@ class UnreachableToleranceError(ValueError):
 
 
 class ProjectionMismatchError(ontodyn.InternalCheckError):
-    """Float ground projection disagrees with the exact rational table."""
+    """The interchange matrix does not hold the entries the rational table counts."""
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +99,9 @@ def build_interchange(model: fastslow.OntologicalModel) -> InterchangeHamiltonia
     if dim > INTERCHANGE_CAP:
         raise SizeCapError(f"ontic space {dim} exceeds interchange cap {INTERCHANGE_CAP}")
     p_total = model.phase_space_size
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
+    rows = [np.empty(0, dtype=np.int64)]
+    cols = [np.empty(0, dtype=np.int64)]
+    vals = [np.empty(0, dtype=complex)]
     for (a, b), triggers in fastslow._pair_triggers(model).items():
         flats = fastslow._firing_flats(model, (a, b), triggers)
         rows.extend([a * p_total + flats, b * p_total + flats])
@@ -109,12 +110,8 @@ def build_interchange(model: fastslow.OntologicalModel) -> InterchangeHamiltonia
             np.full(flats.size, -1j * INTERCHANGE_WEIGHT),
             np.full(flats.size, 1j * INTERCHANGE_WEIGHT),
         ])
-    if rows:
-        matrix = sparse.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dim, dim))
-    else:
-        matrix = sparse.csr_matrix((dim, dim), dtype=complex)
+    matrix = sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim))
     return InterchangeHamiltonian(matrix=matrix)
 
 
@@ -125,14 +122,12 @@ def build_full_hamiltonian(model: fastslow.OntologicalModel):
     dim = model.ontic_space_size
     if dim > FULL_HAMILTONIAN_CAP:
         raise SizeCapError(f"ontic space {dim} exceeds dense cap {FULL_HAMILTONIAN_CAP}")
-    h_fast = sparse.csr_matrix((dim, dim), dtype=complex)
-    for i in range(len(model.periods)):
-        term = sparse.identity(model.slow_count, format="csr", dtype=complex)
-        for j, period in enumerate(model.periods):
-            factor = (sparse.csr_matrix(clock_hamiltonian(period)) if j == i
-                      else sparse.identity(period, format="csr", dtype=complex))
-            term = sparse.kron(term, factor, format="csr")
-        h_fast = h_fast + term
+    # kronsum(h, H) = H (x) 1 + 1 (x) h: each clock joins as the next factor,
+    # starting from the zero matrix on the slow states
+    h_fast = sparse.csr_matrix((model.slow_count, model.slow_count), dtype=complex)
+    for period in model.periods:
+        h_fast = sparse.kronsum(sparse.csr_matrix(clock_hamiltonian(period)), h_fast,
+                                format="csr")
     return h_fast, build_interchange(model)
 
 
@@ -253,12 +248,14 @@ def _pair_counts(model: fastslow.OntologicalModel) -> tuple[PairCoupling, ...]:
 def ground_project(model: fastslow.OntologicalModel) -> EffectiveHamiltonian:
     """Project the interchange Hamiltonian onto the clocks' ground subspace.
 
-    Within :data:`INTERCHANGE_CAP` the projection is carried out explicitly
-    (uniform ground bra/ket applied to :func:`build_interchange`'s matrix) and
-    cross-checked against the exact rational table at 1e-12.  Above the cap
-    only the special-point clocks act nontrivially per term, every other
-    clock contributes an exact factor 1, so the matrix is evaluated from the
-    rational table directly.  The ontic space size alone picks the route.
+    The result is the exact rational table, ``-1j * (pi/2) * points/(Pa*Pb)``
+    on each coupled pair a < b.  Within :data:`INTERCHANGE_CAP` it is checked
+    against :func:`build_interchange`'s matrix, whose ground projection is
+    the sum of each slow block's entries over P = :attr:`phase_space_size`:
+    every entry must be -1j*pi/2 above the diagonal and +1j*pi/2 below it,
+    and each block (a, b) must hold exactly points*P/(Pa*Pb) entries, an
+    integer.  Any other matrix raises ProjectionMismatchError.  Above the cap
+    no matrix is built.
     """
     n = model.slow_count
     couplings = _pair_counts(model)
@@ -267,18 +264,18 @@ def ground_project(model: fastslow.OntologicalModel) -> EffectiveHamiltonian:
         a, b = pc.pair
         expected[a, b] = -1j * INTERCHANGE_WEIGHT * pc.points / pc.denominator
         expected[b, a] = expected[a, b].conjugate()
-    if model.ontic_space_size > INTERCHANGE_CAP:
-        return EffectiveHamiltonian(matrix=expected, couplings=couplings)
-
-    p_total = model.phase_space_size
-    coo = build_interchange(model).matrix.tocoo()
-    projected = np.zeros((n, n), dtype=complex)
-    np.add.at(projected, (coo.row // p_total, coo.col // p_total), coo.data)
-    projected /= p_total
-    if float(np.abs(projected - expected).max(initial=0.0)) > 1e-12:
-        raise ProjectionMismatchError(
-            "explicit ground projection disagrees with the rational table")
-    return EffectiveHamiltonian(matrix=projected, couplings=couplings)
+    if model.ontic_space_size <= INTERCHANGE_CAP:
+        p_total = model.phase_space_size
+        entries = np.zeros((n, n), dtype=np.int64)
+        for pc in couplings:
+            entries[pc.pair] = entries[pc.pair[::-1]] = pc.points * (p_total // pc.denominator)
+        coo = build_interchange(model).matrix.tocoo()
+        weights = np.where(coo.row < coo.col, -1j * INTERCHANGE_WEIGHT, 1j * INTERCHANGE_WEIGHT)
+        blocks = np.bincount(coo.row // p_total * n + coo.col // p_total, minlength=n * n)
+        if np.any(coo.data != weights) or not np.array_equal(blocks, entries.ravel()):
+            raise ProjectionMismatchError(
+                "explicit ground projection disagrees with the rational table")
+    return EffectiveHamiltonian(matrix=expected, couplings=couplings)
 
 
 def effective_to_json(eff: EffectiveHamiltonian) -> str:

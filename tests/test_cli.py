@@ -188,6 +188,24 @@ class TestCompile:
                        "machine with periods <= 3: the nearest, 2 points on periods (3, 3), "
                        f"misses by {abs(math.pi / 2 * 2 / 9 - 0.345)}\n")
 
+    @pytest.mark.parametrize("couplings,argv,code", [
+        # the 3-state chain at a tolerance no shared period q <= 3 meets
+        ([[0, 1, -0.4447475445728595], [1, 2, -0.01090830782496456]],
+         ["--tolerance", "1e-9", "--max-period", "3"], ExitCode.UNREACHABLE_TOLERANCE),
+        # a model that compiles, then a comparison past the enumeration cap
+        ([[0, 1, 0.1]], ["--tolerance", "1e-3", "--max-period", "50",
+                         "--horizon", "1000000000"], ExitCode.SIZE_CAP),
+    ])
+    def test_a_refused_compile_leaves_no_output(self, capsys, tmp_path, couplings, argv, code):
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"size": len(couplings) + 1, "couplings": [
+            {"pair": [a, b], "imag": imag} for a, b, imag in couplings]}))
+        out_dir = tmp_path / "out"
+        got, _, _ = run(capsys, "compile", "--input", str(target), *argv,
+                        "--output", str(out_dir))
+        assert got == code
+        assert not out_dir.exists()
+
     def test_pair_search_finds_the_least_error(self, capsys, tmp_path):
         # 49 points on periods (107, 199) meet the tolerance, at 5.5e-8
         target = tmp_path / "target.json"
@@ -640,6 +658,22 @@ class TestInternalChecks:
         assert err == ("ontosim: internal check failed: "
                        "'explicit ground projection disagrees with the rational table'\n")
 
+    def test_interchange_one_entry_short(self, capsys, monkeypatch):
+        # every value intact, one block count off by one
+        build = quantize.build_interchange
+
+        def one_entry_short(model):
+            matrix = build(model).matrix.copy()
+            matrix.data[0] = 0
+            matrix.eliminate_zeros()
+            return quantize.InterchangeHamiltonian(matrix=matrix)
+
+        monkeypatch.setattr(quantize, "build_interchange", one_entry_short)
+        code, out, err = run(capsys, "compare", "--input", TWO_STATE, "--horizon", "3")
+        assert (code, out) == (ExitCode.INTERNAL_CHECK, "")
+        assert err == ("ontosim: internal check failed: "
+                       "'explicit ground projection disagrees with the rational table'\n")
+
     def test_failed_cycle_proof(self, capsys, monkeypatch):
         tables = fastslow.step_tables
         monkeypatch.setattr(fastslow, "step_tables", lambda m: (tables(m) + 1) % m.ontic_space_size)
@@ -647,6 +681,19 @@ class TestInternalChecks:
         assert (code, out) == (ExitCode.INTERNAL_CHECK, "")
         assert err == ("ontosim: internal check failed: "
                        "\"the step map does not follow its clocks' tick orbits\"\n")
+
+
+def test_a_full_swap_machine_passes_the_projection_check(capsys, tmp_path):
+    # a special point on each of the 200 x 200 cells: 40 000 interchange
+    # entries per slow block, too many to sum as floats and meet the table
+    model = fastslow.OntologicalModel(2, (200, 200), tuple(
+        fastslow.SpecialPoint((0, 1), (p, q)) for p in range(200) for q in range(200)))
+    assert quantize.ground_project(model).coupling((0, 1)) == 1
+    assert quantize.compare_dynamics(model, 0, 3).max_classical_quantum <= 1e-10
+    path = tmp_path / "full_swap.json"
+    path.write_text(fastslow.model_to_json(model))
+    code, out, _ = run(capsys, "compare", "--input", str(path), "--horizon", "3")
+    assert code == ExitCode.OK and len(out.splitlines()) == 5
 
 
 class TestConfigPrecedence:

@@ -1,7 +1,8 @@
 """Fuzz the CLI boundary: arbitrary documents, config files and flag values.
 
 Whatever it is given, ``cli.main`` must return a documented exit code, write
-no traceback, keep every stderr line short and finish within seconds.
+no traceback, keep every stderr line short, leave no output behind when it
+refuses, and finish within seconds.
 Work-size values (horizons, samples, grids, periods, sizes) are drawn small,
 except the draws meant to hit a size cap.
 """
@@ -154,6 +155,8 @@ def test_cli_refuses_with_a_documented_code_and_a_short_message(data):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
         elapsed = time.perf_counter() - start
+        # a refusal creates no --output file or directory
+        assert code == ExitCode.OK or not (Path(tmp) / "out").exists(), (argv, code)
     err = err.getvalue()
     assert code in DOCUMENTED, (argv, code, err)
     assert "Traceback" not in err
