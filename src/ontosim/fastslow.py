@@ -10,10 +10,13 @@ the full map on (slow state, all clock phases) is a bijection: the machine
 is exactly reversible and has a finite recursion time.
 
 A step is swap-after-tick: all phases advance first, then every special
-point whose trigger matches the new phases fires.  The conflict rule lives
-in one place, :func:`_validate_model`, which every model passes at
-construction: no two points on different pairs may claim the same value on
-the clock of a shared slow state.  So the swaps of one step are always a
+point whose trigger matches the new phases fires.  A model holds its points
+as one (K, 4) int64 table, ``OntologicalModel.points``, and every layer
+reads that table.  The conflict rule lives in one place, :func:`_validate_model`,
+one vectorised pass over the table that every model meets at construction,
+whether built from :class:`SpecialPoint` objects, from a table or from a
+document: no two points on different pairs may claim the same value on the
+clock of a shared slow state.  So the swaps of one step are always a
 product of disjoint transpositions.
 
 A point fires on exactly one set of phase combinations, its firing set:
@@ -52,7 +55,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import IO, NamedTuple
 
 import numpy as np
@@ -63,6 +66,7 @@ ENUMERATION_CAP = 10 ** 6
 # A coupled pair's orbit keys reach 2 * P_a * P_b (:func:`_orbit_position`),
 # which stays below 2**63 for periods up to this.
 PERIOD_CAP = 2 ** 31 - 1
+INT64_MAX = 2 ** 63 - 1  # the largest clock period a model holds
 
 
 class ModelValidationError(ValueError):
@@ -117,24 +121,58 @@ class ClassicalConfig(NamedTuple):
     phases: tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class OntologicalModel:
-    """N slow states, one clock per slow state, and a special-point table."""
+    """N slow states, one clock per slow state, and a special-point table.
 
-    slow_count: int
-    periods: tuple[int, ...]
-    special_points: tuple[SpecialPoint, ...] = ()
+    ``points`` is the table: one read-only (K, 4) int64 array of rows
+    (a, b, trigger_a, trigger_b) with a < b, in the order they were given.
+    The third argument is a sequence of :class:`SpecialPoint`, or such a
+    table of any signed integer dtype whose rows may name a pair in either
+    order; both meet :func:`_validate_model`.  ``special_points`` is a
+    read-only view of the table as a tuple of :class:`SpecialPoint`, built
+    on first access.  A model is immutable, and equal to another with the
+    same slow count, periods and table.
+    """
 
-    def __post_init__(self):
-        periods = tuple(self.periods)
-        if not (ontodyn._is_integer(self.slow_count) and all(map(ontodyn._is_integer, periods))):
+    __slots__ = ("slow_count", "periods", "points", "_view")
+
+    def __init__(self, slow_count: int, periods: tuple[int, ...], special_points=()):
+        table = _point_table(special_points)
+        periods = tuple(periods)
+        if not (ontodyn._is_integer(slow_count) and all(map(ontodyn._is_integer, periods))):
             raise ModelValidationError(
                 f"slow_count and clock periods must be integers, not "
-                f"{ontodyn.shown((self.slow_count, periods))}")
-        object.__setattr__(self, "slow_count", int(self.slow_count))
+                f"{ontodyn.shown((slow_count, periods))}")
+        object.__setattr__(self, "slow_count", int(slow_count))
         object.__setattr__(self, "periods", tuple(map(int, periods)))
-        object.__setattr__(self, "special_points", tuple(self.special_points))
-        _validate_model(self)
+        object.__setattr__(self, "points", _validate_model(self.slow_count, self.periods, table))
+        object.__setattr__(self, "_view", None)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return OntologicalModel, (self.slow_count, self.periods, self.points)
+
+    def __eq__(self, other):
+        if not isinstance(other, OntologicalModel):
+            return NotImplemented
+        return ((self.slow_count, self.periods) == (other.slow_count, other.periods)
+                and np.array_equal(self.points, other.points))
+
+    def __hash__(self):
+        return hash((self.slow_count, self.periods, self.points.tobytes()))
+
+    def __repr__(self):
+        return (f"OntologicalModel(slow_count={self.slow_count!r}, periods={self.periods!r}, "
+                f"special_points={self.special_points!r})")
+
+    @property
+    def special_points(self) -> tuple[SpecialPoint, ...]:
+        if self._view is None:
+            object.__setattr__(self, "_view", tuple(
+                SpecialPoint(pair=(a, b), trigger=(p, q)) for a, b, p, q in self.points.tolist()))
+        return self._view
 
     @property
     def phase_space_size(self) -> int:
@@ -148,52 +186,115 @@ class OntologicalModel:
         return self.slow_count * self.phase_space_size
 
 
-def _validate_model(model: OntologicalModel) -> None:
-    n = model.slow_count
+def _point_table(points) -> np.ndarray:
+    """The rows (a, b, trigger_a, trigger_b), a < b, of a sequence of
+    :class:`SpecialPoint` or of a (K, 4) signed integer array, in the order
+    given, as a new array.  Its dtype is int64, unless a value lies outside
+    int64: then it holds Python integers, and :func:`_validate_model` refuses
+    that value as out of range.  A row that pairs a state with itself is
+    refused here, as :class:`SpecialPoint` refuses it."""
+    if isinstance(points, np.ndarray):
+        if points.dtype.kind != "i" or points.ndim != 2 or points.shape[1] != 4:
+            raise ModelValidationError(
+                f"a special point table must be a (K, 4) array of signed integers, not "
+                f"{points.dtype} of shape {points.shape}")
+        table = points.astype(np.int64)
+    else:
+        rows = [sp.pair + sp.trigger for sp in points]
+        try:
+            table = np.array(rows, dtype=np.int64).reshape(-1, 4)
+        except OverflowError:
+            table = np.array(rows, dtype=object).reshape(-1, 4)
+    same = np.flatnonzero(table[:, 0] == table[:, 1])
+    if same.size:
+        raise ModelValidationError(
+            f"special point pairs a state with itself: {ontodyn.shown(int(table[same[0], 0]))}")
+    flip = table[:, 0] > table[:, 1]
+    table[flip] = table[flip][:, [1, 0, 3, 2]]
+    return table
+
+
+def _point(row) -> SpecialPoint:
+    a, b, p, q = map(int, row)
+    return SpecialPoint(pair=(a, b), trigger=(p, q))
+
+
+def _validate_model(n: int, periods: tuple[int, ...], table: np.ndarray) -> np.ndarray:
+    """Check a model's slow count, periods and :func:`_point_table`, and
+    return the table as read-only int64.  A refused table names its first
+    point that fails a check, with the first check it fails: its states,
+    its triggers, a repeat of an earlier point, then the conflict rule."""
     if n < 1:
         raise ModelValidationError("slow_count must be >= 1")
-    if len(model.periods) != n:
+    if len(periods) != n:
         raise ModelValidationError(
-            f"need one clock period per slow state, got {len(model.periods)} for "
+            f"need one clock period per slow state, got {len(periods)} for "
             f"{ontodyn.shown(n)} states")
-    if any(p < 1 for p in model.periods):
+    if any(p < 1 for p in periods):
         raise ModelValidationError("clock periods must be positive")
-    small = [p for p in model.periods if p < 10]
+    if max(periods) > INT64_MAX:
+        raise ontodyn.SizeCapError(
+            f"clock period {ontodyn.shown(max(periods))} exceeds {INT64_MAX}, the largest "
+            "a point table holds")
+    small = [p for p in periods if p < 10]
     if small:
         # a long list is abridged to its first six (ontodyn.shown) and counted
         listed = small if len(small) <= 6 else f"{ontodyn.shown(small)} ({len(small)} of them)"
-        # 4 frames up: this function, __post_init__, the dataclass __init__,
-        # then the line that constructed the model.
+        # 3 frames up: this function, __init__, then the line that constructed the model
         warnings.warn(
             f"clock periods {listed} are below 10; the fast/slow separation is marginal",
-            FastPeriodWarning, stacklevel=4)
+            FastPeriodWarning, stacklevel=3)
 
     # The conflict rule.  A point on pair (a, b) can only fire while clock a
-    # reads trigger[0], so it claims the slot (a, trigger[0]), and likewise
-    # (b, trigger[1]).  Two points on different pairs that claim one slot
+    # reads trigger_a, so it claims the slot (a, trigger_a), and likewise
+    # (b, trigger_b).  Two points on different pairs that claim one slot
     # fire together on that state.  Points on the same pair may share a slot:
-    # they differ on the other clock, so they never fire together.
-    seen: set[tuple] = set()
-    owner: dict[tuple[int, int], SpecialPoint] = {}
-    for sp in model.special_points:
-        a, b = sp.pair
-        if not (0 <= a < n and 0 <= b < n):
+    # they differ on the other clock, so they never fire together.  Claim c
+    # is point c // 2's on its pair's state c % 2, in the order the rule
+    # takes them; its mate c ^ 1 is the same point's other claim.
+    state, value = table[:, :2].reshape(-1), table[:, 2:].reshape(-1)
+    known = (state >= 0) & (state < n)
+    period = np.asarray(periods, dtype=np.int64)[np.where(known, state, 0).astype(np.int64)]
+    bad = np.flatnonzero(~(known & (value >= 0) & (value < period)))
+    # only the claims of the points before the first out of range, which fit int64
+    head = bad[0] // 2 * 2 if bad.size else state.size
+    state, value = state[:head].astype(np.int64), value[:head].astype(np.int64)
+    mate = np.arange(head) ^ 1
+    # Sorted stably by (slot, mate's slot), a claim equal to the one before it
+    # repeats an earlier point.  A slot's owner is its first claim, and a
+    # claim clashes with it when their mates' states differ.
+    claims = np.column_stack((state, value, state[mate], value[mate]))
+    order = np.lexsort(claims.T[::-1])
+    claims = claims[order]
+    same = claims[1:] == claims[:-1]
+    repeat = order[1:][same.all(axis=1)].min(initial=head)
+    opens = np.ones(head, dtype=bool)
+    opens[1:] = ~(same[:, 0] & same[:, 1])
+    owner = np.minimum.reduceat(order, np.flatnonzero(opens))[np.cumsum(opens) - 1]
+    clash = order[claims[:, 2] != state[owner ^ 1]].min(initial=head)
+
+    if repeat < clash:  # never the same point: a repeat's clash is its original's
+        sp = _point(table[repeat // 2])
+        raise ConflictingSwapError(
+            f"duplicate special point {ontodyn.shown((sp.pair, sp.trigger))}")
+    if clash < head:
+        at = np.flatnonzero(order == clash)[0]
+        raise ConflictingSwapError(
+            f"points {ontodyn.shown(_point(table[owner[at] // 2]))} and "
+            f"{ontodyn.shown(_point(table[clash // 2]))} can both fire on state "
+            f"{claims[at, 0]} (shared clock value {ontodyn.shown(int(claims[at, 1]))})")
+    if bad.size:
+        first = bad[0] // 2
+        sp = _point(table[first])
+        if not known[2 * first:2 * first + 2].all():
             raise ModelValidationError(
                 f"special point references unknown slow state: {ontodyn.shown(sp.pair)}")
-        if not (0 <= sp.trigger[0] < model.periods[a] and 0 <= sp.trigger[1] < model.periods[b]):
-            raise ModelValidationError(
-                f"trigger {ontodyn.shown(sp.trigger)} outside clock periods for pair "
-                f"{ontodyn.shown(sp.pair)}")
-        key = (sp.pair, sp.trigger)
-        if key in seen:
-            raise ConflictingSwapError(f"duplicate special point {ontodyn.shown(key)}")
-        seen.add(key)
-        for s, v in zip(sp.pair, sp.trigger):
-            first = owner.setdefault((s, v), sp)
-            if first.pair != sp.pair:
-                raise ConflictingSwapError(
-                    f"points {ontodyn.shown(first)} and {ontodyn.shown(sp)} can both fire "
-                    f"on state {s} (shared clock value {ontodyn.shown(v)})")
+        raise ModelValidationError(
+            f"trigger {ontodyn.shown(sp.trigger)} outside clock periods for pair "
+            f"{ontodyn.shown(sp.pair)}")
+    table = table.astype(np.int64, copy=False)
+    table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +348,11 @@ def _check_config(model: OntologicalModel, config: ClassicalConfig) -> None:
 
 def _pair_triggers(model: OntologicalModel) -> dict[tuple[int, int], np.ndarray]:
     """The special points grouped by coupled pair a < b, in ascending pair
-    order: one (K, 2) int64 array of triggers per pair."""
-    grouped: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for sp in model.special_points:
-        grouped.setdefault(sp.pair, []).append(sp.trigger)
-    return {pair: np.array(grouped[pair], dtype=np.int64) for pair in sorted(grouped)}
+    order: one (K, 2) int64 array of triggers per pair, in table order."""
+    rows = model.points[np.lexsort((model.points[:, 1], model.points[:, 0]))]
+    cuts = np.flatnonzero((rows[1:, :2] != rows[:-1, :2]).any(axis=1)) + 1
+    return {(int(group[0, 0]), int(group[0, 1])): group[:, 2:]
+            for group in np.split(rows, cuts) if len(group)}
 
 
 def _firing_flats(model: OntologicalModel, pair: tuple[int, int], triggers: np.ndarray,
@@ -277,10 +378,11 @@ def step(model: OntologicalModel, config: ClassicalConfig) -> ClassicalConfig:
     phases = tuple((int(v) + 1) % period for v, period in zip(config.phases, model.periods))
     slow = int(config.slow)
     # a valid model fires at most one point touching ``slow``
-    for sp in model.special_points:
-        a, b = sp.pair
-        if slow in sp.pair and (phases[a], phases[b]) == sp.trigger:
-            return ClassicalConfig(slow=a + b - slow, phases=phases)
+    a, b, p, q = model.points.T
+    at = np.asarray(phases, dtype=np.int64)
+    fired = np.flatnonzero(((a == slow) | (b == slow)) & (p == at[a]) & (q == at[b]))
+    if fired.size:
+        slow = int(a[fired[0]] + b[fired[0]]) - slow
     return ClassicalConfig(slow=slow, phases=phases)
 
 
@@ -593,11 +695,32 @@ def model_from_doc(doc) -> OntologicalModel:
     periods = ontodyn.json_ints(doc["periods"], "model field 'periods'")
     entries = ontodyn.json_objects(doc.get("special_points", []),
                                    "model field 'special_points'", ("pair", "trigger"))
-    points = tuple(
-        SpecialPoint(pair=ontodyn.json_ints(entry["pair"], "model field 'pair'", 2),
-                     trigger=ontodyn.json_ints(entry["trigger"], "model field 'trigger'", 2))
-        for entry in entries)
+    pairs = _int_pairs([entry["pair"] for entry in entries])
+    triggers = _int_pairs([entry["trigger"] for entry in entries])
+    if pairs is not None and triggers is not None:
+        points = np.concatenate((pairs, triggers), axis=1)
+    else:
+        # Entry by entry: the first that is not two integers is refused,
+        # naming its field, and a value beyond int64 reaches the validator,
+        # which refuses it as out of range.
+        points = tuple(
+            SpecialPoint(pair=ontodyn.json_ints(entry["pair"], "model field 'pair'", 2),
+                         trigger=ontodyn.json_ints(entry["trigger"], "model field 'trigger'", 2))
+            for entry in entries)
     return OntologicalModel(slow_count=n, periods=periods, special_points=points)
+
+
+def _int_pairs(values: list) -> np.ndarray | None:
+    """``values`` as a (K, 2) int64 array if every entry is a list of two
+    JSON integers within int64, else None."""
+    if set(map(type, values)) <= {list} and set(map(len, values)) <= {2}:
+        flat = list(itertools.chain.from_iterable(values))
+        if set(map(type, flat)) <= {int}:
+            try:
+                return np.array(flat, dtype=np.int64).reshape(-1, 2)
+            except OverflowError:
+                pass
+    return None
 
 
 def load_model(path) -> OntologicalModel:
@@ -605,14 +728,21 @@ def load_model(path) -> OntologicalModel:
         return model_from_json(fh.read())
 
 
+# One special point as ``json.dumps(..., indent=2)`` writes it, "," included
+# after each but the last.
+_POINT_JSON = ('\n    {\n      "pair": [\n        %d,\n        %d\n      ],'
+               '\n      "trigger": [\n        %d,\n        %d\n      ]\n    }')
+
+
 def model_to_json(model: OntologicalModel) -> str:
-    return json.dumps({
-        "slow_count": model.slow_count,
-        "periods": list(model.periods),
-        "special_points": [
-            {"pair": list(sp.pair), "trigger": list(sp.trigger)}
-            for sp in model.special_points],
-    }, indent=2)
+    """The model document, byte for byte as ``json.dumps(..., indent=2)``
+    writes it, with the points in table order."""
+    head = json.dumps({"slow_count": model.slow_count, "periods": list(model.periods),
+                       "special_points": []}, indent=2)
+    if not len(model.points):
+        return head
+    body = ",".join([_POINT_JSON] * len(model.points)) % tuple(model.points.reshape(-1).tolist())
+    return head[:-len("]\n}")] + body + "\n  ]\n}"  # inside the empty list's brackets
 
 
 def write_ensemble_csv(frequencies: np.ndarray, stream: IO[str]) -> None:

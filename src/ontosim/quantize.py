@@ -238,11 +238,10 @@ def ground_delta_expectation(period: int, trigger: int = 0) -> Fraction:
 
 
 def _pair_counts(model: fastslow.OntologicalModel) -> tuple[PairCoupling, ...]:
-    counts = Counter(pt.pair for pt in model.special_points)
     return tuple(
-        PairCoupling(pair=pair, points=counts[pair],
+        PairCoupling(pair=pair, points=len(triggers),
                      denominator=model.periods[pair[0]] * model.periods[pair[1]])
-        for pair in sorted(counts))
+        for pair, triggers in fastslow._pair_triggers(model).items())
 
 
 def ground_project(model: fastslow.OntologicalModel) -> EffectiveHamiltonian:
@@ -489,16 +488,20 @@ def _approximate_coupling(pair: tuple[int, int], mag: float, tolerance: float,
     return points, (pa, pb)
 
 
-def _spread_points(period_a: int, period_b: int, count: int) -> list[tuple[int, int]]:
+def _spread_points(period_a: int, period_b: int, count: int) -> np.ndarray:
     """count distinct trigger cells, evenly spaced along the joint cycle when
-    possible, otherwise evenly over the full torus grid."""
+    possible, otherwise evenly over the full torus grid: (count, 2) int64."""
     joint = math.lcm(period_a, period_b)
     if count <= joint:
-        ts = [(j * joint) // count for j in range(count)]
-        return [(t % period_a, t % period_b) for t in ts]
-    cells = period_a * period_b
-    idx = [(j * cells) // count for j in range(count)]
-    return [(i // period_b, i % period_b) for i in idx]
+        ts = np.arange(count, dtype=np.int64) * joint // count
+        return np.column_stack((ts % period_a, ts % period_b))
+    idx = np.arange(count, dtype=np.int64) * (period_a * period_b) // count
+    return np.column_stack((idx // period_b, idx % period_b))
+
+
+def _pair_rows(pair: tuple[int, int], triggers: np.ndarray) -> np.ndarray:
+    """The special-point table rows (a, b, trigger_a, trigger_b) of one pair."""
+    return np.column_stack((np.full((len(triggers), 2), pair, dtype=np.int64), triggers))
 
 
 def _target_magnitudes(target: np.ndarray) -> dict[tuple[int, int], float]:
@@ -576,14 +579,14 @@ def compile_report(model: fastslow.OntologicalModel, target) -> dict:
 
 
 def _shared_period_points(n: int, magnitudes: dict, tolerance: float,
-                          q: int) -> list[fastslow.SpecialPoint]:
+                          q: int) -> list[np.ndarray]:
     """Trigger cells for every coupled pair with all coupled clocks at period q.
 
     Each pair takes its :func:`_nearest_count` over q*q cells, and each
     state's pairs take disjoint blocks of trigger values so that firing sets
-    never conflict.  A count whose error exceeds ``tolerance`` or a state whose
-    blocks overflow its q values raises UnreachableToleranceError, before any
-    point is built.
+    never conflict; one table block per pair (:func:`_pair_rows`).  A count
+    whose error exceeds ``tolerance`` or a state whose blocks overflow its q
+    values raises UnreachableToleranceError, before any point is built.
     """
     counts: dict[tuple[int, int], int] = {}
     for pair, mag in sorted(magnitudes.items()):
@@ -603,9 +606,11 @@ def _shared_period_points(n: int, magnitudes: dict, tolerance: float,
         blocks.append(((a, b), count, side, offsets[a], offsets[b]))
         offsets[a] += side
         offsets[b] += side
-    return [fastslow.SpecialPoint(pair=pair, trigger=(base_a + k // side, base_b + k % side))
-            for pair, count, side, base_a, base_b in blocks
-            for k in (j * side * side // count for j in range(count))]
+    points = []
+    for pair, count, side, base_a, base_b in blocks:
+        k = np.arange(count, dtype=np.int64) * side * side // count
+        points.append(_pair_rows(pair, np.column_stack((base_a + k // side, base_b + k % side))))
+    return points
 
 
 def compile_target(target, tolerance: float, max_period: int) -> fastslow.OntologicalModel:
@@ -644,15 +649,13 @@ def compile_target(target, tolerance: float, max_period: int) -> fastslow.Ontolo
     degree = Counter(s for pair in magnitudes for s in pair)
     if max(degree.values(), default=0) <= 1:
         periods = [1] * n
-        points: list[fastslow.SpecialPoint] = []
+        points = []
         for (a, b), mag in sorted(magnitudes.items()):
             count, (pa, pb) = _approximate_coupling((a, b), mag, tolerance, max_period)
             if count == 0:
                 continue
             periods[a], periods[b] = pa, pb
-            points.extend(
-                fastslow.SpecialPoint(pair=(a, b), trigger=trig)
-                for trig in _spread_points(pa, pb, count))
+            points.append(_pair_rows((a, b), _spread_points(pa, pb, count)))
     else:
         refusal = None  # that of q = max_period, if no q works
         for q in range(max_period, 0, -1):
@@ -664,5 +667,5 @@ def compile_target(target, tolerance: float, max_period: int) -> fastslow.Ontolo
         else:
             raise refusal
         periods = [q if s in degree else 1 for s in range(n)]
-    return fastslow.OntologicalModel(
-        slow_count=n, periods=tuple(periods), special_points=tuple(points))
+    table = np.concatenate([np.empty((0, 4), dtype=np.int64), *points])
+    return fastslow.OntologicalModel(slow_count=n, periods=tuple(periods), special_points=table)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 from scipy import integrate
@@ -40,6 +41,56 @@ def random_model(rng: np.random.Generator, max_slow: int = 4, min_period: int = 
                    for pair, trig in sorted(chosen))
     return fastslow.OntologicalModel(slow_count=n, periods=tuple(periods),
                                      special_points=points)
+
+
+def reference_validate_model(model) -> None:
+    """Oracle for :func:`fastslow._validate_model`: the special-point checks
+    as a loop over :class:`fastslow.SpecialPoint` objects.  ``model`` needs
+    ``slow_count``, ``periods`` and ``special_points``; a self-pair is
+    refused earlier, when its SpecialPoint is built."""
+    n = model.slow_count
+    if n < 1:
+        raise fastslow.ModelValidationError("slow_count must be >= 1")
+    if len(model.periods) != n:
+        raise fastslow.ModelValidationError(
+            f"need one clock period per slow state, got {len(model.periods)} for "
+            f"{ontodyn.shown(n)} states")
+    if any(p < 1 for p in model.periods):
+        raise fastslow.ModelValidationError("clock periods must be positive")
+    small = [p for p in model.periods if p < 10]
+    if small:
+        # a long list is abridged to its first six (ontodyn.shown) and counted
+        listed = small if len(small) <= 6 else f"{ontodyn.shown(small)} ({len(small)} of them)"
+        warnings.warn(
+            f"clock periods {listed} are below 10; the fast/slow separation is marginal",
+            fastslow.FastPeriodWarning, stacklevel=2)
+
+    # The conflict rule.  A point on pair (a, b) can only fire while clock a
+    # reads trigger[0], so it claims the slot (a, trigger[0]), and likewise
+    # (b, trigger[1]).  Two points on different pairs that claim one slot
+    # fire together on that state.  Points on the same pair may share a slot:
+    # they differ on the other clock, so they never fire together.
+    seen: set[tuple] = set()
+    owner: dict[tuple[int, int], fastslow.SpecialPoint] = {}
+    for sp in model.special_points:
+        a, b = sp.pair
+        if not (0 <= a < n and 0 <= b < n):
+            raise fastslow.ModelValidationError(
+                f"special point references unknown slow state: {ontodyn.shown(sp.pair)}")
+        if not (0 <= sp.trigger[0] < model.periods[a] and 0 <= sp.trigger[1] < model.periods[b]):
+            raise fastslow.ModelValidationError(
+                f"trigger {ontodyn.shown(sp.trigger)} outside clock periods for pair "
+                f"{ontodyn.shown(sp.pair)}")
+        key = (sp.pair, sp.trigger)
+        if key in seen:
+            raise fastslow.ConflictingSwapError(f"duplicate special point {ontodyn.shown(key)}")
+        seen.add(key)
+        for s, v in zip(sp.pair, sp.trigger):
+            first = owner.setdefault((s, v), sp)
+            if first.pair != sp.pair:
+                raise fastslow.ConflictingSwapError(
+                    f"points {ontodyn.shown(first)} and {ontodyn.shown(sp)} can both fire "
+                    f"on state {s} (shared clock value {ontodyn.shown(v)})")
 
 
 def reference_step(model: fastslow.OntologicalModel, slow: np.ndarray,

@@ -76,7 +76,7 @@ def test_criterion_05_effective_hamiltonian_identity():
     for _ in range(100):
         model = random_model(rng, max_slow=4, min_period=2, max_period=30,
                              min_slow=2, min_points=1, max_points=6)
-        eff = quantize.ground_project(model)  # float route, verified at 1e-12 inside
+        eff = quantize.ground_project(model)  # exact table, checked by entry counts inside
         table = exact_projection_table(model)  # exact Fractions from the sparse matrix
         expected = {pc.pair: pc.fraction for pc in eff.couplings}
         ok = ok and table == expected

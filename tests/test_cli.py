@@ -542,6 +542,30 @@ class TestStrictDocuments:
         assert code == ExitCode.PARSE_ERROR
         assert f"'{field}'" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["cycles", "spectrum", "simulate", "compare"])
+    @pytest.mark.parametrize("periods,point,code,message", [
+        # a trigger, or a state, beyond int64 is out of range like any other
+        ([10, 7], {"pair": [0, 1], "trigger": [0, 10 ** 23]}, ExitCode.INVALID_MODEL,
+         "ontosim: invalid input: trigger (0, 10000000...000000000) outside clock periods "
+         "for pair (0, 1)\n"),
+        ([10, 7], {"pair": [-10 ** 23, 1], "trigger": [0, 0]}, ExitCode.INVALID_MODEL,
+         "ontosim: invalid input: special point references unknown slow state: "
+         "(-1000000...000000000, 1)\n"),
+        # a period beyond int64 is refused on load, by every command alike
+        ([10, 10 ** 30], {"pair": [0, 1], "trigger": [0, 10 ** 23]}, ExitCode.SIZE_CAP,
+         f"ontosim: clock period 10000000...000000000 exceeds {2 ** 63 - 1}, "
+         "the largest a point table holds\n"),
+    ], ids=["trigger", "state", "period"])
+    def test_values_beyond_int64(self, capsys, tmp_path, command, periods, point, code,
+                                 message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"slow_count": 2, "periods": periods,
+                                    "special_points": [point]}))
+        argv = {"simulate": ["--horizon", "2", "--samples", "5", "--seed", "1"],
+                "compare": ["--horizon", "2"]}.get(command, [])
+        got, out, err = run(capsys, command, "--input", str(path), *argv)
+        assert (got, out, err) == (code, "", message)
+
     def test_target_array_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "target.json"
         path.write_text("[1, 2]")
