@@ -5,6 +5,7 @@ and Bell/CHSH correlation analysis."""
 
 from .ontodyn import (
     CycleDecomposition,
+    Cycles,
     CycleSpectrum,
     InternalCheckError,
     MalformedLawError,

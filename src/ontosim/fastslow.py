@@ -42,7 +42,9 @@ state, so each (slow state, orbit) row, in tick order, splits into runs
 that end where the step image is not the row's next config, or the lap
 ends.  The runs are read from the image, not predicted: only where each run
 ends is the step located and checked (it ticks, onto a run's start, each
-start once), and only the permutation of runs is walked.
+start once), and only the permutation of runs is walked.  The cycles come
+out as one int64 listing (:class:`ontodyn.Cycles`), gathered once from the
+tick-ordered states, never as a Python object per state.
 
 Clock periods are meant to be large compared with the inverse couplings of
 interest; that is a soft convention, so the builder only warns (never
@@ -460,10 +462,11 @@ def check_bijectivity(model: OntologicalModel) -> ontodyn.CycleDecomposition:
     of the orbit table: unless each ticks, onto a run's start, and each start
     is reached once, :class:`ontodyn.InternalCheckError` is raised.  So the
     image is a bijection that ticks, and the runs, joined in walk order, are
-    its cycles; each is turned to start at its smallest state, in
-    :func:`ontodyn.decompose`'s order.  Each ontic-sized array is freed at
-    its last use: the heap a call leaves behind stays resident under the
-    tuples built from the listing.
+    its cycles.  Each cycle's smallest state is the least of its runs'
+    minima, and the orbit table's inverse places it in its run; one gather
+    then lists every cycle from that state on, in :func:`ontodyn.decompose`'s
+    order, as an :class:`ontodyn.Cycles`.  Each ontic-sized array is freed
+    at its last use.
     """
     image = step_tables(model)
     n, p_total = model.slow_count, model.phase_space_size
@@ -489,7 +492,7 @@ def check_bijectivity(model: OntologicalModel) -> ontodyn.CycleDecomposition:
             and np.array_equal(starts[after], into)
             and np.bincount(after).max() == 1):
         raise ontodyn.InternalCheckError("the step map does not follow its clocks' tick orbits")
-    del where, phase, into, tick
+    del phase, into, tick
 
     after = after.tolist()
     walk, bounds, seen = [], [], bytearray(len(after))
@@ -502,24 +505,30 @@ def check_bijectivity(model: OntologicalModel) -> ontodyn.CycleDecomposition:
                 walk.append(run)
                 run = after[run]
     del after, seen
-    lengths = (ends - starts + 1)[walk]
-    listing = states[_slices(starts[walk], lengths)]
-    del states
-    first = (np.cumsum(lengths) - lengths)[bounds]
-    lengths = np.diff(np.append(first, listing.size))
-
-    anchors = np.minimum.reduceat(listing, first)
-    shift = np.flatnonzero(listing == np.repeat(anchors, lengths)) - first
+    walk, bounds = np.array(walk), np.array(bounds)
+    runs = np.diff(bounds, append=walk.size)  # runs per cycle
+    lows = np.minimum.reduceat(states, starts)[walk]
+    anchors = np.minimum.reduceat(lows, bounds)  # each cycle's smallest state
+    # where the anchor's run comes in its cycle's walk, and where the anchor lies in states
+    held = np.flatnonzero(lows == np.repeat(anchors, runs)) - bounds
+    at = anchors // p_total * p_total + where[anchors % p_total]
+    del where, lows
     order = np.argsort(anchors)
-    first, shift, lengths = first[order], shift[order], lengths[order]
-    # each cycle is two slices of the walk's listing: from its anchor on, then up to it
-    listing = listing[_slices(np.stack([first + shift, first], axis=1).reshape(-1),
-                              np.stack([lengths - shift, shift], axis=1).reshape(-1))]
-    flat = iter(listing.tolist())
-    del listing
-    lengths = lengths.tolist()
-    cycles = tuple(tuple(itertools.islice(flat, length)) for length in lengths)
-    return ontodyn.CycleDecomposition(cycles=cycles, ranks=tuple(sorted(lengths)))
+    bounds, runs, held, at = bounds[order], runs[order], held[order], at[order]
+    # a cycle's pieces: its anchor's run from the anchor on, its other runs
+    # in walk order, then its anchor's run up to the anchor
+    pieces = runs + 1
+    head = np.cumsum(pieces) - pieces
+    turn = np.arange(pieces.sum()) - np.repeat(head, pieces) + np.repeat(held, pieces)
+    run = walk[np.repeat(bounds, pieces) + turn % np.repeat(runs, pieces)]
+    first, last = starts[run], ends[run] + 1
+    first[head] = at
+    last[head + runs] = at
+    listing = states[_slices(first, last - first)].astype(np.int64)
+    del states
+    lengths = np.add.reduceat(last - first, head)
+    return ontodyn.CycleDecomposition(cycles=ontodyn.Cycles(listing, lengths),
+                                      ranks=tuple(sorted(lengths.tolist())))
 
 
 # ---------------------------------------------------------------------------

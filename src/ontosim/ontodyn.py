@@ -15,9 +15,12 @@ no cap.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 import reprlib
+from collections import abc
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -81,16 +84,74 @@ class PermutationLaw:
         return PermutationLaw(inv)
 
 
+class Cycles(abc.Sequence):
+    """The cycles of a permutation as one read-only int64 listing.
+
+    ``states`` holds every state once: the cycles one after another, each
+    starting at its smallest member and following the law, in ascending order
+    of those members.  ``lengths`` holds the length of each cycle, in that
+    order.  Indexing and iteration give each cycle as a tuple of ints, built
+    only when asked for.  A ``Cycles`` compares equal, and hashes, only
+    against another ``Cycles``.
+    """
+
+    __slots__ = ("states", "lengths", "_starts")
+
+    def __init__(self, states, lengths):
+        states = np.asarray(states, dtype=np.int64)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if (states.ndim != 1 or lengths.ndim != 1 or (lengths < 1).any()
+                or lengths.sum() != states.size):
+            raise ValueError("lengths must be positive and add up to the number of states")
+        starts = np.cumsum(lengths) - lengths  # where each cycle begins in states
+        for name, array in (("states", states), ("lengths", lengths), ("_starts", starts)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return Cycles, (self.states, self.lengths)
+
+    def __len__(self) -> int:
+        return self.lengths.size
+
+    def __getitem__(self, index) -> tuple[int, ...]:
+        index = operator.index(index)
+        if not -len(self) <= index < len(self):
+            raise IndexError(f"cycle index {index} out of range for {len(self)} cycles")
+        start = self._starts[index]
+        return tuple(self.states[start:start + self.lengths[index]].tolist())
+
+    def __iter__(self):
+        flat = iter(self.states.tolist())
+        for length in self.lengths.tolist():
+            yield tuple(itertools.islice(flat, length))
+
+    def __eq__(self, other):
+        if not isinstance(other, Cycles):
+            return NotImplemented
+        return (np.array_equal(self.lengths, other.lengths)
+                and np.array_equal(self.states, other.states))
+
+    def __hash__(self):
+        return hash((self.lengths.tobytes(), self.states.tobytes()))
+
+    def __repr__(self):
+        return f"Cycles(states={self.states!r}, lengths={self.lengths!r})"
+
+
 @dataclass(frozen=True)
 class CycleDecomposition:
     """Partition of the state set into closed orbits.
 
-    ``cycles`` are ordered by their smallest member, each cycle starts at that
-    member and follows the law.  ``ranks`` is the multiset of cycle lengths,
-    sorted ascending.
+    ``cycles`` lists the orbits, each from its smallest member, in ascending
+    order of those members (:class:`Cycles`).  ``ranks`` is the multiset of
+    cycle lengths, sorted ascending.
     """
 
-    cycles: tuple[tuple[int, ...], ...]
+    cycles: Cycles
     ranks: tuple[int, ...]
 
     @property
@@ -139,20 +200,21 @@ def decompose(law: PermutationLaw) -> CycleDecomposition:
     """
     image = law.image
     seen = np.zeros(law.size, dtype=bool)
-    cycles: list[tuple[int, ...]] = []
+    listing: list[int] = []
+    lengths: list[int] = []
     for start in range(law.size):
         if seen[start]:
             continue
-        orbit = [start]
+        first = len(listing)
+        listing.append(start)
         seen[start] = True
         k = int(image[start])
         while k != start:
-            orbit.append(k)
+            listing.append(k)
             seen[k] = True
             k = int(image[k])
-        cycles.append(tuple(orbit))
-    ranks = tuple(sorted(len(c) for c in cycles))
-    return CycleDecomposition(cycles=tuple(cycles), ranks=ranks)
+        lengths.append(len(listing) - first)
+    return CycleDecomposition(cycles=Cycles(listing, lengths), ranks=tuple(sorted(lengths)))
 
 
 def permutation_matrix(law: PermutationLaw) -> np.ndarray:
@@ -200,10 +262,15 @@ def evolve_basis_state(law: PermutationLaw, k: int, t: int) -> int:
 
 def law_power(law: PermutationLaw, t: int) -> PermutationLaw:
     """The law applied t times, as a law (exact integer composition)."""
+    cycles = decompose(law).cycles
+    lengths = cycles.lengths.tolist()
+    first = np.repeat(cycles._starts, lengths)
+    # the state at listing position i moves t places along its cycle (t is
+    # reduced cycle by cycle, as it may exceed int64)
+    shift = np.repeat([t % length for length in lengths], lengths)
+    ahead = first + (np.arange(law.size) - first + shift) % np.repeat(lengths, lengths)
     image_t = np.empty(law.size, dtype=np.int64)
-    for cycle in decompose(law).cycles:
-        idx = np.asarray(cycle, dtype=np.int64)
-        image_t[idx] = np.roll(idx, -(t % len(cycle)))
+    image_t[cycles.states] = cycles.states[ahead]
     return PermutationLaw(image_t)
 
 
@@ -216,22 +283,19 @@ def spectral_decomposition(law: PermutationLaw) -> SpectralDecomposition:
     m = law.size
     if m > DENSE_CAP:
         raise SizeCapError(f"dense spectral decomposition refused for {m} > {DENSE_CAP} states")
+    cycles = decompose(law).cycles
     vectors = np.zeros((m, m), dtype=np.complex128)
     energies = np.empty(m)
     phases = np.empty(m, dtype=np.complex128)
-    cyc_idx = np.empty(m, dtype=np.int64)
-    mode_idx = np.empty(m, dtype=np.int64)
-    col = 0
-    for ci, cycle in enumerate(decompose(law).cycles):
-        states = np.asarray(cycle, dtype=np.int64)
-        spec = cycle_spectrum(len(cycle))
-        span = slice(col, col + len(cycle))
-        vectors[states, span] = spec.eigenvectors
+    # column j belongs to the cycle holding listing position j
+    cyc_idx = np.repeat(np.arange(len(cycles)), cycles.lengths)
+    mode_idx = np.arange(m) - np.repeat(cycles._starts, cycles.lengths)
+    for start, length in zip(cycles._starts.tolist(), cycles.lengths.tolist()):
+        span = slice(start, start + length)
+        spec = cycle_spectrum(length)
+        vectors[cycles.states[span], span] = spec.eigenvectors
         energies[span] = spec.energies
         phases[span] = spec.eigenphases
-        cyc_idx[span] = ci
-        mode_idx[span] = np.arange(len(cycle))
-        col += len(cycle)
     return SpectralDecomposition(vectors, energies, phases, cyc_idx, mode_idx)
 
 
@@ -369,7 +433,10 @@ def law_to_json(law: PermutationLaw) -> str:
 
 def cycles_report(decomp: CycleDecomposition) -> dict:
     """JSON-ready report ``{"ranks": [...], "cycles": [[...], ...]}``."""
-    return {"ranks": list(decomp.ranks), "cycles": [list(c) for c in decomp.cycles]}
+    cycles = decomp.cycles
+    flat = cycles.states.tolist()
+    spans = zip(cycles._starts.tolist(), cycles.lengths.tolist())
+    return {"ranks": list(decomp.ranks), "cycles": [flat[a:a + n] for a, n in spans]}
 
 
 def write_spectrum_csv(decomp: CycleDecomposition, stream: IO[str]) -> None:
@@ -380,7 +447,7 @@ def write_spectrum_csv(decomp: CycleDecomposition, stream: IO[str]) -> None:
     """
     def blocks():
         modes = {}  # cycle length -> its n, energy, re_phase and im_phase columns
-        for ci, t in enumerate(map(len, decomp.cycles)):
+        for ci, t in enumerate(decomp.cycles.lengths.tolist()):
             if t not in modes:
                 energies, phases = _cycle_modes(t)
                 modes[t] = np.arange(t), energies, phases.real, phases.imag

@@ -164,6 +164,23 @@ class TestCheckBijectivity:
         with pytest.raises(ontodyn.SizeCapError):
             fastslow.check_bijectivity(m)
 
+    def test_memory_per_state(self):
+        # the listing is one int64 per state; no Python object per state is
+        # built, and the working arrays stay within a few int64s per state
+        m = two_state_model(571, 569)
+        states = m.ontic_space_size
+        assert states == 649_798
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            d = fastslow.check_bijectivity(m)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(d.ranks) == states
+        assert (retained - before) / states <= 10
+        assert (peak - before) / states <= 32
+
 
 def _swapped(image: np.ndarray, i: int, j: int) -> np.ndarray:
     image[[i, j]] = image[[j, i]]

@@ -3,6 +3,8 @@
 Any rewrite of the stepping code must reproduce these bit for bit: the
 Philox-seeded ensemble tables, the ``ontosim simulate`` CSV bytes, the exact
 occupation counts, the step-map image and the signed Koopman permutation.
+Any rewrite of the cycle listing must reproduce the ``ontosim cycles`` report
+bytes and the ``ontosim spectrum`` CSV bytes.
 """
 
 import hashlib
@@ -16,6 +18,7 @@ from ontosim.fixtures import fixture_path
 from conftest import make_rng, random_model
 
 TWO_STATE = str(fixture_path("two_state_10_7.json"))
+FIGURE1 = str(fixture_path("figure1.json"))
 RANDOM_SEEDS = (2020, 2021, 2025)
 
 
@@ -78,6 +81,13 @@ GOLDEN = {
     },
 }
 SIMULATE_CSV = "804621b545a5f092769141e7fcf67b5fff563073f5c76b77ff76a2f253c1136b"
+CYCLES_REPORT = {
+    "figure1": "ceb7155a9c103399f769d0c6863f99acd212ee565fc6dafe53c033638153e24b",
+    "two_state_10_7": "b905176927abcf373091a9962e52881654b1acd593315774d2200bf2ccd9c326",
+    "random_2020": "55318f5a7b619abf692184184c655b9c518d7c7717df1d77ae4009120641639b",
+    "random_2021": "d6e416f09437dc567d3479b9cbb934cd88532ffe26216941b41e628e23429148",
+}
+SPECTRUM_CSV = "e1e0a52e7d1edacaa35fbc4684bb80af43d3bba01246741338aa69c2dd1d4cef"
 
 
 def outputs(model: fastslow.OntologicalModel) -> dict:
@@ -103,3 +113,22 @@ def test_simulate_csv_matches_golden(tmp_path):
                      "--samples", "500", "--seed", "11", "--output", str(out)])
     assert code == cli.ExitCode.OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_CSV
+
+
+def cli_output_digest(tmp_path, command: str, source: str) -> str:
+    out = tmp_path / "out"
+    assert cli.main([command, "--input", source, "--output", str(out)]) == cli.ExitCode.OK
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CYCLES_REPORT))
+def test_cycles_report_matches_golden(name, tmp_path):
+    source = {"figure1": FIGURE1, "two_state_10_7": TWO_STATE}.get(name)
+    if source is None:
+        source = tmp_path / "model.json"
+        source.write_text(fastslow.model_to_json(machine(name)))
+    assert cli_output_digest(tmp_path, "cycles", str(source)) == CYCLES_REPORT[name]
+
+
+def test_spectrum_csv_matches_golden(tmp_path):
+    assert cli_output_digest(tmp_path, "spectrum", FIGURE1) == SPECTRUM_CSV

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import pickle
 import time
 
 import numpy as np
@@ -62,17 +63,17 @@ class TestDecompose:
     def test_identity(self):
         d = ontodyn.decompose(law([0, 1, 2, 3, 4]))
         assert d.ranks == (1, 1, 1, 1, 1)
-        assert d.cycles == ((0,), (1,), (2,), (3,), (4,))
+        assert tuple(d.cycles) == ((0,), (1,), (2,), (3,), (4,))
 
     def test_hand_traced_orbits(self):
         d = ontodyn.decompose(law([1, 2, 0, 4, 3]))
         assert d.ranks == (2, 3)
-        assert d.cycles == ((0, 1, 2), (3, 4))
+        assert tuple(d.cycles) == ((0, 1, 2), (3, 4))
 
     def test_deterministic_anchor_ordering(self):
         # each cycle starts at its smallest member, cycles sorted by anchor
         d = ontodyn.decompose(law([3, 2, 1, 0]))
-        assert d.cycles == ((0, 3), (1, 2))
+        assert tuple(d.cycles) == ((0, 3), (1, 2))
 
     @settings(max_examples=60, deadline=None)
     @given(st.permutations(list(range(12))))
@@ -85,6 +86,64 @@ class TestDecompose:
         for cycle in d.cycles:
             for j, s in enumerate(cycle):
                 assert lw.apply(s) == cycle[(j + 1) % len(cycle)]
+
+
+class TestCycles:
+    """The listing behind CycleDecomposition.cycles: a read-only sequence of
+    tuples, equal only to another listing of the same states and lengths."""
+
+    @staticmethod
+    def listing(dtype=np.int64) -> ontodyn.Cycles:
+        return ontodyn.Cycles(np.array([0, 3, 1, 4, 2], dtype=dtype),
+                              np.array([2, 3], dtype=dtype))
+
+    def test_length_and_indexing(self):
+        cycles = self.listing()
+        assert len(cycles) == 2
+        assert cycles[0] == (0, 3) and cycles[1] == (1, 4, 2)
+        assert cycles[-1] == (1, 4, 2) and cycles[-2] == (0, 3)
+        assert all(type(s) is int for s in cycles[1])
+        for index in (2, -3):
+            with pytest.raises(IndexError):
+                cycles[index]
+
+    def test_iteration_gives_the_indexed_tuples(self):
+        cycles = self.listing()
+        assert list(cycles) == [cycles[0], cycles[1]] == [(0, 3), (1, 4, 2)]
+
+    def test_equality_and_hash_across_integer_widths(self):
+        narrow, wide = self.listing(np.int32), self.listing(np.int64)
+        assert narrow.states.dtype == narrow.lengths.dtype == np.int64
+        assert narrow == wide and hash(narrow) == hash(wide)
+        assert narrow != ontodyn.Cycles([0, 3, 1, 2, 4], [2, 3])
+        assert narrow != ontodyn.Cycles([0, 3, 1, 4, 2], [3, 2])
+
+    def test_not_equal_to_a_tuple_literal(self):
+        cycles = self.listing()
+        assert cycles != ((0, 3), (1, 4, 2))
+        assert ((0, 3), (1, 4, 2)) != cycles
+
+    def test_arrays_are_read_only(self):
+        cycles = self.listing()
+        with pytest.raises(ValueError):
+            cycles.states[0] = 1
+        with pytest.raises(ValueError):
+            cycles.lengths[0] = 1
+        with pytest.raises(AttributeError):
+            cycles.states = np.arange(5)
+
+    def test_pickle_round_trip_stays_read_only(self):
+        cycles = self.listing()
+        back = pickle.loads(pickle.dumps(cycles))
+        assert back == cycles and hash(back) == hash(cycles)
+        with pytest.raises(ValueError):
+            back.states[0] = 1
+
+    @pytest.mark.parametrize("states,lengths", [
+        ([0, 1, 2], [1, 1]), ([0, 1], [2, 0]), ([[0, 1]], [2])])
+    def test_lengths_must_cover_the_states(self, states, lengths):
+        with pytest.raises(ValueError):
+            ontodyn.Cycles(states, lengths)
 
 
 class TestPermutationMatrix:
