@@ -136,10 +136,16 @@ def _cmd_spectrum(opts) -> int:
             ontodyn.write_spectrum_csv(ontodyn.decompose(obj), fh)
         return ExitCode.OK
     levels = quantize.free_energy_levels(obj)  # refuses the size cap before any file opens
-    distinct, counts = np.unique(np.round(levels, 12), return_counts=True)
+    # a level is 2*pi*m/L with the integer m = sum n_i*L/T_i, L = lcm(periods);
+    # sorted, the numerators m run alongside the sorted float sums
+    lap, numerators = math.lcm(*obj.periods), np.zeros(1, dtype=np.int64)
+    for period in obj.periods:
+        numerators = (numerators[:, None] + np.arange(period) * (lap // period)).reshape(-1)
+    _, first, counts = np.unique(np.sort(np.tile(numerators, obj.slow_count)),
+                                 return_index=True, return_counts=True)
     with _out_stream(opts.output) as fh:
         ontodyn.write_csv(fh, ["level", "energy", "multiplicity"],
-                          [(np.arange(distinct.size), distinct, counts)])
+                          [(np.arange(first.size), np.round(levels[first], 12), counts)])
     return ExitCode.OK
 
 

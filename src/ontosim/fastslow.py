@@ -42,8 +42,10 @@ state, so each (slow state, orbit) row, in tick order, splits into runs
 that end where the step image is not the row's next config, or the lap
 ends.  The runs are read from the image, not predicted: only where each run
 ends is the step located and checked (it ticks, onto a run's start, each
-start once), and only the permutation of runs is walked.  The cycles come
-out as one int64 listing (:class:`ontodyn.Cycles`), gathered once from the
+start once), and only the permutation of runs is walked, in ascending order
+of the runs' smallest states, so the cycles arrive each with its smallest
+state in its first run, in ascending order of those states.  They come out
+as one int64 listing (:class:`ontodyn.Cycles`), gathered once from the
 tick-ordered states, never as a Python object per state.
 
 Clock periods are meant to be large compared with the inverse couplings of
@@ -462,11 +464,12 @@ def check_bijectivity(model: OntologicalModel) -> ontodyn.CycleDecomposition:
     of the orbit table: unless each ticks, onto a run's start, and each start
     is reached once, :class:`ontodyn.InternalCheckError` is raised.  So the
     image is a bijection that ticks, and the runs, joined in walk order, are
-    its cycles.  Each cycle's smallest state is the least of its runs'
-    minima, and the orbit table's inverse places it in its run; one gather
-    then lists every cycle from that state on, in :func:`ontodyn.decompose`'s
-    order, as an :class:`ontodyn.Cycles`.  Each ontic-sized array is freed
-    at its last use.
+    its cycles.  The runs are walked in ascending order of their smallest
+    states, so each cycle's first run holds the cycle's smallest state, and
+    the cycles come in ascending order of it.  The orbit table's inverse
+    places that state in its run; one gather then lists every cycle from it,
+    in :func:`ontodyn.decompose`'s order, as an :class:`ontodyn.Cycles`.
+    Each ontic-sized array is freed at its last use.
     """
     image = step_tables(model)
     n, p_total = model.slow_count, model.phase_space_size
@@ -494,32 +497,18 @@ def check_bijectivity(model: OntologicalModel) -> ontodyn.CycleDecomposition:
         raise ontodyn.InternalCheckError("the step map does not follow its clocks' tick orbits")
     del phase, into, tick
 
-    after = after.tolist()
-    walk, bounds, seen = [], [], bytearray(len(after))
-    for first in range(len(after)):
-        if not seen[first]:
-            bounds.append(len(walk))
-            run = first
-            while not seen[run]:
-                seen[run] = 1
-                walk.append(run)
-                run = after[run]
-    del after, seen
-    walk, bounds = np.array(walk), np.array(bounds)
+    lows = np.minimum.reduceat(states, starts)
+    walk, bounds = map(np.array, ontodyn._walk(after.tolist(), np.argsort(lows).tolist()))
+    del after
     runs = np.diff(bounds, append=walk.size)  # runs per cycle
-    lows = np.minimum.reduceat(states, starts)[walk]
-    anchors = np.minimum.reduceat(lows, bounds)  # each cycle's smallest state
-    # where the anchor's run comes in its cycle's walk, and where the anchor lies in states
-    held = np.flatnonzero(lows == np.repeat(anchors, runs)) - bounds
+    anchors = lows[walk[bounds]]  # each cycle's smallest state, and its place in states
     at = anchors // p_total * p_total + where[anchors % p_total]
     del where, lows
-    order = np.argsort(anchors)
-    bounds, runs, held, at = bounds[order], runs[order], held[order], at[order]
-    # a cycle's pieces: its anchor's run from the anchor on, its other runs
-    # in walk order, then its anchor's run up to the anchor
+    # a cycle's pieces: its first run from the anchor on, its other runs in
+    # walk order, then its first run up to the anchor
     pieces = runs + 1
     head = np.cumsum(pieces) - pieces
-    turn = np.arange(pieces.sum()) - np.repeat(head, pieces) + np.repeat(held, pieces)
+    turn = np.arange(pieces.sum()) - np.repeat(head, pieces)
     run = walk[np.repeat(bounds, pieces) + turn % np.repeat(runs, pieces)]
     first, last = starts[run], ends[run] + 1
     first[head] = at

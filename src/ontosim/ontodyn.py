@@ -195,26 +195,30 @@ class SpectralDecomposition:
 def decompose(law: PermutationLaw) -> CycleDecomposition:
     """Split a law into its closed orbits.
 
-    The partition is unique; the ordering convention (each cycle anchored at
-    its smallest state, cycles sorted by anchor) makes the output reproducible.
+    The partition is unique, and walking it from state 0 up makes its order
+    canonical: each walk starts at the smallest state not yet listed, so each
+    cycle starts at its smallest state, and the cycles come in ascending
+    order of those states.
     """
-    image = law.image
-    seen = np.zeros(law.size, dtype=bool)
-    listing: list[int] = []
-    lengths: list[int] = []
-    for start in range(law.size):
-        if seen[start]:
-            continue
-        first = len(listing)
-        listing.append(start)
-        seen[start] = True
-        k = int(image[start])
-        while k != start:
-            listing.append(k)
-            seen[k] = True
-            k = int(image[k])
-        lengths.append(len(listing) - first)
-    return CycleDecomposition(cycles=Cycles(listing, lengths), ranks=tuple(sorted(lengths)))
+    order, bounds = _walk(law.image.tolist(), range(law.size))
+    lengths = np.diff(bounds, append=len(order))
+    return CycleDecomposition(cycles=Cycles(order, lengths), ranks=tuple(sorted(lengths.tolist())))
+
+
+def _walk(successors, firsts) -> tuple[list, list[int]]:
+    """Follow ``successors``, a bijection, round the cycle of each of ``firsts``
+    not yet seen.  ``order`` lists the states visited, cycle after cycle, and
+    ``bounds`` says where each cycle begins in it."""
+    order, bounds, seen = [], [], bytearray(len(successors))
+    for first in firsts:
+        if not seen[first]:
+            bounds.append(len(order))
+            k = first
+            while not seen[k]:
+                seen[k] = 1
+                order.append(k)
+                k = successors[k]
+    return order, bounds
 
 
 def permutation_matrix(law: PermutationLaw) -> np.ndarray:
@@ -252,12 +256,8 @@ def evolve_basis_state(law: PermutationLaw, k: int, t: int) -> int:
     """
     if not 0 <= k < law.size:
         raise ValueError(f"state {k} outside [0, {law.size})")
-    orbit = [k]
-    j = int(law.image[k])
-    while j != k:
-        orbit.append(j)
-        j = int(law.image[j])
-    return orbit[t % len(orbit)]
+    orbit, _ = _walk(law.image, [k])
+    return int(orbit[t % len(orbit)])
 
 
 def law_power(law: PermutationLaw, t: int) -> PermutationLaw:

@@ -398,7 +398,8 @@ def validate_target(target) -> np.ndarray:
     imaginary antisymmetric off-diagonal (i.e. real multiples of sigma_y)."""
     t = np.asarray(target, dtype=complex)
     if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] < 1:
-        raise NotRepresentableError("target must be a square matrix")
+        raise NotRepresentableError("target has no states" if t.shape == (0, 0)
+                                    else "target must be a square matrix")
     if not np.all(np.isfinite(t)):
         raise NotRepresentableError("target has entries that are not finite")
     if np.any(t.diagonal() != 0):

@@ -109,6 +109,33 @@ class TestSpectrum:
         assert np.allclose(energies, expected, atol=1e-10)
         assert mult == [2] * 6
 
+    @pytest.mark.parametrize("periods", [(8, 38), (16, 32), (16, 38), (21, 35)])
+    def test_free_levels_are_grouped_exactly(self, capsys, tmp_path, periods):
+        # float sums of one level can round either side of a 12th decimal;
+        # each level m/lcm (times 2*pi) is still one row, counted exactly
+        path = tmp_path / "free.json"
+        path.write_text(json.dumps({"slow_count": 2, "periods": list(periods)}))
+        code, out, _ = run(capsys, "spectrum", "--input", str(path))
+        assert code == ExitCode.OK
+        lap = math.lcm(*periods)
+        counts = {}
+        for a in range(periods[0]):
+            for b in range(periods[1]):
+                m = a * (lap // periods[0]) + b * (lap // periods[1])
+                counts[m] = counts.get(m, 0) + 2  # two slow states
+        rows = [r.split(",") for r in out.strip().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(len(counts)))
+        assert [int(r[2]) for r in rows] == [counts[m] for m in sorted(counts)]
+        assert np.allclose([float(r[1]) for r in rows],
+                           [2 * math.pi * m / lap for m in sorted(counts)], rtol=0, atol=1e-11)
+
+    def test_a_level_that_straddles_a_decimal_is_one_row(self, capsys, tmp_path):
+        path = tmp_path / "free.json"
+        path.write_text('{"slow_count": 2, "periods": [16, 32]}')
+        _, out, _ = run(capsys, "spectrum", "--input", str(path))
+        rows = [r for r in out.strip().splitlines()[1:] if r.split(",")[1][:13] == "5.69413668463"]
+        assert len(rows) == 1 and rows[0].endswith(",30")
+
     def test_model_over_the_cap_writes_no_file(self, capsys, tmp_path):
         path = tmp_path / "big.json"
         path.write_text('{"slow_count": 2, "periods": [1000, 1001]}')
@@ -175,6 +202,15 @@ class TestCompile:
         code, _, _ = run(capsys, "compile", "--input", str(target),
                          "--tolerance", "1e-6", "--output", str(tmp_path / "x"))
         assert code == ExitCode.NOT_REPRESENTABLE
+
+    def test_empty_target_has_no_states(self, capsys, tmp_path):
+        # a 0 x 0 matrix is square: the refusal says what is wrong with it
+        target = tmp_path / "empty.json"
+        target.write_text('{"size": 0, "couplings": []}')
+        code, _, err = run(capsys, "compile", "--input", str(target),
+                           "--tolerance", "1e-6", "--output", str(tmp_path / "x"))
+        assert code == ExitCode.NOT_REPRESENTABLE
+        assert "target has no states" in err and "square" not in err
 
     def test_unreachable_tolerance(self, capsys, tmp_path):
         target = tmp_path / "hard.json"

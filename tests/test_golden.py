@@ -4,7 +4,7 @@ Any rewrite of the stepping code must reproduce these bit for bit: the
 Philox-seeded ensemble tables, the ``ontosim simulate`` CSV bytes, the exact
 occupation counts, the step-map image and the signed Koopman permutation.
 Any rewrite of the cycle listing must reproduce the ``ontosim cycles`` report
-bytes and the ``ontosim spectrum`` CSV bytes.
+bytes and the ``ontosim spectrum`` CSV bytes, of machines and of laws alike.
 """
 
 import hashlib
@@ -12,10 +12,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from ontosim import cli, fastslow, quantize
+from ontosim import cli, fastslow, ontodyn, quantize
 from ontosim.fixtures import fixture_path
 
-from conftest import make_rng, random_model
+from conftest import make_rng, random_law_image, random_model
 
 TWO_STATE = str(fixture_path("two_state_10_7.json"))
 FIGURE1 = str(fixture_path("figure1.json"))
@@ -88,6 +88,16 @@ CYCLES_REPORT = {
     "random_2021": "d6e416f09437dc567d3479b9cbb934cd88532ffe26216941b41e628e23429148",
 }
 SPECTRUM_CSV = "e1e0a52e7d1edacaa35fbc4684bb80af43d3bba01246741338aa69c2dd1d4cef"
+LAW_OUTPUTS = {
+    ("involution_20000", "cycles"):
+        "efc9b7992fbe4b7ad47bd335272c7c99c6adbb64ee64b4b267b5186b369d77bb",
+    ("involution_20000", "spectrum"):
+        "a53cfd1ba69e292a0238e4ca1822f6794232a1b4771224c2c1492279d42cf6cc",
+    ("permutation_100000", "cycles"):
+        "b17a014722445ba415fb6f3e0c89d286c23303925234fc01f27f937c1147d66c",
+    ("permutation_100000", "spectrum"):
+        "ab1f4db88e071d392a00f3e5d4206f39250ed3b627db6c21c4189d3d65a6bad3",
+}
 
 
 def outputs(model: fastslow.OntologicalModel) -> dict:
@@ -132,3 +142,21 @@ def test_cycles_report_matches_golden(name, tmp_path):
 
 def test_spectrum_csv_matches_golden(tmp_path):
     assert cli_output_digest(tmp_path, "spectrum", FIGURE1) == SPECTRUM_CSV
+
+
+def seeded_law(name: str) -> ontodyn.PermutationLaw:
+    """A random permutation of 100 000 states (a few long cycles), or an
+    involution of 20 000 states (10 000 two-cycles)."""
+    if name == "permutation_100000":
+        return ontodyn.PermutationLaw(random_law_image(make_rng(19), 100_000))
+    pairs = make_rng(20).permutation(20_000).reshape(-1, 2)
+    image = np.empty(20_000, dtype=np.int64)
+    image[pairs[:, 0]], image[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+    return ontodyn.PermutationLaw(image)
+
+
+@pytest.mark.parametrize("name,command", sorted(LAW_OUTPUTS))
+def test_law_outputs_match_golden(name, command, tmp_path):
+    source = tmp_path / "law.json"
+    source.write_text(ontodyn.law_to_json(seeded_law(name)))
+    assert cli_output_digest(tmp_path, command, str(source)) == LAW_OUTPUTS[name, command]

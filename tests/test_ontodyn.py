@@ -189,6 +189,15 @@ class TestEvolveBasisState:
     def test_negative_time_uses_inverse(self):
         assert ontodyn.evolve_basis_state(law([1, 2, 0]), 0, -1) == 2
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(n))), st.data(),
+           st.one_of(st.integers(-40, 40), st.integers(-2 ** 80, 2 ** 80)))
+    def test_equals_the_law_power(self, image, data, t):
+        # t negative, and beyond int64, included
+        lw = law(image)
+        k = data.draw(st.integers(0, lw.size - 1))
+        assert ontodyn.evolve_basis_state(lw, k, t) == ontodyn.law_power(lw, t).image[k]
+
     def test_ontology_conservation(self):
         # U^t applied to a basis state stays a single basis state of weight 1,
         # located where the orbit arithmetic says.

@@ -337,6 +337,39 @@ class TestCompareDynamics:
         assert len(lines) == 6
 
 
+class TestLowEnergyIdentities:
+    """Where the effective Hamiltonian meets the machine: two exact identities."""
+
+    @pytest.mark.parametrize("periods,triggers", [
+        ((10, 7), [(0, 0)]),
+        ((31, 29), [(0, 0), (5, 11), (17, 3)]),
+        ((12, 18), [(0, 0), (6, 9)]),
+        ((101, 97), [(0, 0)]),
+    ])
+    def test_one_step_ground_amplitude_is_two_over_pi_of_the_coupling(self, periods, triggers):
+        # from |0> with every clock in its uniform ground state, one step moves
+        # K * P/(Pa*Pb) configs to slow state 1: A_10(1) = K/(Pa*Pb) exactly
+        m = fastslow.OntologicalModel(2, periods, tuple(
+            fastslow.SpecialPoint((0, 1), trigger) for trigger in triggers))
+        p_total = m.phase_space_size
+        psi = np.zeros(m.ontic_space_size)
+        psi[:p_total] = 1.0 / math.sqrt(p_total)
+        psi = quantize.apply_koopman_step(*quantize.koopman_step_operator(m), psi)
+        amplitude = psi[p_total:].sum() / math.sqrt(p_total)
+        coupling = quantize.ground_project(m).matrix[1, 0]
+        assert amplitude == pytest.approx(len(triggers) / (periods[0] * periods[1]), rel=1e-12)
+        assert abs(amplitude) / abs(coupling) == pytest.approx(2 / math.pi, rel=1e-12)
+
+    @pytest.mark.parametrize("periods", [(10, 7), (101, 97)])
+    def test_one_point_coprime_machines_sit_at_the_ramp_floor(self, periods):
+        # the classical flip is a linear ramp, the effective one sin^2(h t):
+        # they differ by max(2x/pi - sin^2 x) at best, whatever the scale
+        x = math.asin(2 / math.pi) / 2
+        floor = 2 * x / math.pi - math.sin(x) ** 2
+        cmp_ = quantize.compare_dynamics(two_state_model(*periods), 0, 2 * math.lcm(*periods))
+        assert floor - 1e-4 < cmp_.max_classical_effective <= floor + 1e-12
+
+
 class TestCompileTarget:
     @staticmethod
     def pair_target(value: float, size: int = 2, pair=(0, 1)) -> np.ndarray:
