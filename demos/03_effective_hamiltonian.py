@@ -43,7 +43,7 @@ def main():
     achieved = quantize.ground_project(compiled)
     err = abs(quantize.INTERCHANGE_WEIGHT * float(achieved.coupling((0, 1))) - 0.01)
     print(f"compiled |H_01| = 0.01 with periods {compiled.periods}, "
-          f"{len(compiled.special_points)} points, error {err:.2e}")
+          f"{len(compiled.points)} points, error {err:.2e}")
 
     # Classical vs full-quantum vs effective occupation of the flipped state.
     cmp_ = quantize.compare_dynamics(model, initial_slow=0, horizon=70)
@@ -54,7 +54,7 @@ def main():
     print(f"max |classical - quantum|  = {cmp_.max_classical_quantum:.2e} "
           "(the unitary is a signed permutation)")
     print(f"max |classical - effective| = {cmp_.max_classical_effective:.2e} "
-          "(regime-dependent approximation)")
+          "(the floor max(2x/pi - sin^2 x) = 0.105 of a linear ramp against sin^2)")
     flip_time = (math.pi / 2) / abs(eff.matrix[0, 1])
     print(f"effective full-flip time (pi/2)/|H_01| = {flip_time:.1f} steps = N_0 * N_1")
 

@@ -135,17 +135,10 @@ def _cmd_spectrum(opts) -> int:
         with _out_stream(opts.output) as fh:
             ontodyn.write_spectrum_csv(ontodyn.decompose(obj), fh)
         return ExitCode.OK
-    levels = quantize.free_energy_levels(obj)  # refuses the size cap before any file opens
-    # a level is 2*pi*m/L with the integer m = sum n_i*L/T_i, L = lcm(periods);
-    # sorted, the numerators m run alongside the sorted float sums
-    lap, numerators = math.lcm(*obj.periods), np.zeros(1, dtype=np.int64)
-    for period in obj.periods:
-        numerators = (numerators[:, None] + np.arange(period) * (lap // period)).reshape(-1)
-    _, first, counts = np.unique(np.sort(np.tile(numerators, obj.slow_count)),
-                                 return_index=True, return_counts=True)
+    _, levels, counts = quantize.free_levels(obj)  # refuses the size cap before any file opens
     with _out_stream(opts.output) as fh:
         ontodyn.write_csv(fh, ["level", "energy", "multiplicity"],
-                          [(np.arange(first.size), np.round(levels[first], 12), counts)])
+                          [(np.arange(levels.size), np.round(levels, 12), counts)])
     return ExitCode.OK
 
 

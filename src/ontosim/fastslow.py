@@ -390,6 +390,13 @@ def step(model: OntologicalModel, config: ClassicalConfig) -> ClassicalConfig:
     return ClassicalConfig(slow=slow, phases=phases)
 
 
+def check_enumerable(what: str, count: int) -> None:
+    """Refuse (SizeCapError) more than :data:`ENUMERATION_CAP` of ``what``."""
+    if count > ENUMERATION_CAP:
+        raise ontodyn.SizeCapError(
+            f"{what} {ontodyn.shown(count)} exceeds enumeration cap {ENUMERATION_CAP}")
+
+
 def step_tables(model: OntologicalModel) -> np.ndarray:
     """The full step map as one flat table: ``image[f]`` is the flat index
     (:func:`flat_config`) that config ``f`` steps to.
@@ -400,10 +407,7 @@ def step_tables(model: OntologicalModel) -> np.ndarray:
     ``b``.  The conflict rule (:func:`_validate_model`) keeps the firing sets
     of pairs that share a slow state disjoint, so the swaps commute.
     """
-    if model.ontic_space_size > ENUMERATION_CAP:
-        raise ontodyn.SizeCapError(
-            f"ontic space {ontodyn.shown(model.ontic_space_size)} exceeds enumeration cap "
-            f"{ENUMERATION_CAP}")
+    check_enumerable("ontic space", model.ontic_space_size)
     p_total = model.phase_space_size
     image = np.arange(model.slow_count, dtype=np.int64) * p_total
     for period, stride in zip(model.periods, phase_strides(model.periods)):
@@ -560,9 +564,7 @@ def _check_run(model: OntologicalModel, initial_slow: int, horizon: int,
         raise ValueError("horizon must be >= 0")
     if not 0 <= initial_slow < model.slow_count:
         raise ConfigError(f"unknown slow state {ontodyn.shown(initial_slow)}")
-    if rows > ENUMERATION_CAP:
-        raise ontodyn.SizeCapError(
-            f"{what} {ontodyn.shown(rows)} exceeds enumeration cap {ENUMERATION_CAP}")
+    check_enumerable(what, rows)
     if (horizon + 1) * model.slow_count > ENUMERATION_CAP:
         raise ontodyn.SizeCapError(
             f"occupation table of {ontodyn.shown(horizon + 1)} x {model.slow_count} entries "

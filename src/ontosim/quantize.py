@@ -38,7 +38,6 @@ from .ontodyn import SizeCapError
 if TYPE_CHECKING:  # imported where a matrix is built: most runs never need it
     import scipy.sparse as sparse
 
-FULL_HAMILTONIAN_CAP = 2 ** 14
 TARGET_CAP = 2 ** 10
 # A machine has up to max_period**2 points per pair (a 3-state chain target
 # compiles in about 2 s at this cap, 2-CPU VM); a shared-period refusal costs
@@ -120,8 +119,8 @@ def build_full_hamiltonian(model: fastslow.OntologicalModel):
     import scipy.sparse as sparse
 
     dim = model.ontic_space_size
-    if dim > FULL_HAMILTONIAN_CAP:
-        raise SizeCapError(f"ontic space {dim} exceeds dense cap {FULL_HAMILTONIAN_CAP}")
+    if dim > ontodyn.DENSE_CAP:
+        raise SizeCapError(f"ontic space {dim} exceeds dense cap {ontodyn.DENSE_CAP}")
     # kronsum(h, H) = H (x) 1 + 1 (x) h: each clock joins as the next factor,
     # starting from the zero matrix on the slow states
     h_fast = sparse.csr_matrix((model.slow_count, model.slow_count), dtype=complex)
@@ -131,19 +130,24 @@ def build_full_hamiltonian(model: fastslow.OntologicalModel):
     return h_fast, build_interchange(model)
 
 
-def free_energy_levels(model: fastslow.OntologicalModel) -> np.ndarray:
-    """All eigenvalues 2*pi*sum_i n_i/T_i of the free Hamiltonian, sorted.
-
-    Computed from the direct-sum formula, with the slow-state multiplicity
-    included; no matrix is built.  More than :data:`fastslow.ENUMERATION_CAP`
-    levels are refused (SizeCapError) before any allocation."""
-    if model.ontic_space_size > fastslow.ENUMERATION_CAP:
-        raise SizeCapError(f"ontic space {ontodyn.shown(model.ontic_space_size)} exceeds "
-                           f"enumeration cap {fastslow.ENUMERATION_CAP}")
-    levels = np.zeros(1)
+def free_levels(model: fastslow.OntologicalModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The free levels 2*pi*sum_i n_i/T_i of the P phase combinations, sorted; the distinct
+    levels 2*pi*m/L, m = sum_i n_i*L/T_i and L = lcm(periods), each the least of its sums;
+    and their multiplicities, slow states included.  No matrix is built."""
+    fastslow.check_enumerable("ontic space", model.ontic_space_size)
+    lap = math.lcm(*model.periods)
+    levels, numerators = np.zeros(1), np.zeros(1, dtype=np.int64)
     for period in model.periods:
         levels = (levels[:, None] + 2.0 * np.pi * np.arange(period) / period).reshape(-1)
-    return np.sort(np.tile(levels, model.slow_count))
+        numerators = (numerators[:, None] + np.arange(period) * (lap // period)).reshape(-1)
+    order = np.lexsort((levels, numerators))  # by m, then sum; distinct m lie 2*pi/L apart
+    _, first, counts = np.unique(numerators[order], return_index=True, return_counts=True)
+    return levels[order], levels[order[first]], counts * model.slow_count
+
+
+def free_energy_levels(model: fastslow.OntologicalModel) -> np.ndarray:
+    """All eigenvalues of the free Hamiltonian, sorted, slow states included."""
+    return np.repeat(free_levels(model)[0], model.slow_count)
 
 
 def classical_interchange_check() -> np.ndarray:

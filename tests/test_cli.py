@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,23 @@ class TestSpectrum:
         _, out, _ = run(capsys, "spectrum", "--input", str(path))
         rows = [r for r in out.strip().splitlines()[1:] if r.split(",")[1][:13] == "5.69413668463"]
         assert len(rows) == 1 and rows[0].endswith(",30")
+
+    def test_free_levels_are_counted_over_the_phase_space(self, tmp_path):
+        # 10**6 ontic states but 1000 phase combinations: the levels are summed
+        # once per combination, not once per ontic state
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"slow_count": 1000, "periods": [1000] + [1] * 999}))
+        out = tmp_path / "levels.csv"
+        tracemalloc.start()
+        try:
+            code = cli.main(["spectrum", "--input", str(path), "--output", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == ExitCode.OK
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 1000 and all(row.endswith(",1000") for row in rows)
+        assert peak <= 4 * 2 ** 20
 
     def test_model_over_the_cap_writes_no_file(self, capsys, tmp_path):
         path = tmp_path / "big.json"

@@ -4,10 +4,12 @@ Any rewrite of the stepping code must reproduce these bit for bit: the
 Philox-seeded ensemble tables, the ``ontosim simulate`` CSV bytes, the exact
 occupation counts, the step-map image and the signed Koopman permutation.
 Any rewrite of the cycle listing must reproduce the ``ontosim cycles`` report
-bytes and the ``ontosim spectrum`` CSV bytes, of machines and of laws alike.
+bytes and the ``ontosim spectrum`` CSV bytes, of machines and of laws alike,
+and the free levels ``ontosim spectrum`` writes for a model.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -88,6 +90,13 @@ CYCLES_REPORT = {
     "random_2021": "d6e416f09437dc567d3479b9cbb934cd88532ffe26216941b41e628e23429148",
 }
 SPECTRUM_CSV = "e1e0a52e7d1edacaa35fbc4684bb80af43d3bba01246741338aa69c2dd1d4cef"
+MODEL_SPECTRA = {  # ``ontosim spectrum`` of a model: its free levels and multiplicities
+    "two_state_10_7": "2a6331ad9110e0d812f8d527cbc02d0bfe28c9964409db2c54b3832edf89acd6",
+    (16, 32): "994e5b7bdaa9e0461b800150177c90b26697663072d83f6fd86134ccbc305e43",
+    (8, 38): "6a73a66d99f6a6a21c6ee84812ab0f7813303846990f3c59e87b474bbed84288",
+    (21, 35): "17687d6ce82a12898ad9cbc704639597cdf9f96eb8dfd643654502e6406dd5ae",
+    (4, 6, 9): "b0db2e78784a7e574665255c050abca2403fe9166afcb6202dc9dd042b6a5bc2",
+}
 LAW_OUTPUTS = {
     ("involution_20000", "cycles"):
         "efc9b7992fbe4b7ad47bd335272c7c99c6adbb64ee64b4b267b5186b369d77bb",
@@ -142,6 +151,15 @@ def test_cycles_report_matches_golden(name, tmp_path):
 
 def test_spectrum_csv_matches_golden(tmp_path):
     assert cli_output_digest(tmp_path, "spectrum", FIGURE1) == SPECTRUM_CSV
+
+
+@pytest.mark.parametrize("name", list(MODEL_SPECTRA), ids=str)
+def test_model_spectrum_matches_golden(name, tmp_path):
+    source = TWO_STATE
+    if name != "two_state_10_7":  # free clocks, one slow state per clock
+        source = tmp_path / "model.json"
+        source.write_text(json.dumps({"slow_count": len(name), "periods": list(name)}))
+    assert cli_output_digest(tmp_path, "spectrum", str(source)) == MODEL_SPECTRA[name]
 
 
 def seeded_law(name: str) -> ontodyn.PermutationLaw:

@@ -88,14 +88,14 @@ class TestHamiltonians:
         rng = make_rng(21)
         for _ in range(5):
             m = random_model(rng, max_slow=3, max_period=5)
-            if m.ontic_space_size > quantize.FULL_HAMILTONIAN_CAP:
+            if m.ontic_space_size > ontodyn.DENSE_CAP:
                 continue
             h_fast, inter = quantize.build_full_hamiltonian(m)
             assert abs((h_fast - h_fast.getH())).max() < 1e-12
             assert abs((inter.matrix - inter.matrix.getH())).max() <= 1e-12
 
     def test_size_cap(self):
-        m = fastslow.OntologicalModel(slow_count=1, periods=(quantize.FULL_HAMILTONIAN_CAP + 1,))
+        m = fastslow.OntologicalModel(slow_count=1, periods=(ontodyn.DENSE_CAP + 1,))
         with pytest.raises(ontodyn.SizeCapError):
             quantize.build_full_hamiltonian(m)
 
@@ -338,7 +338,7 @@ class TestCompareDynamics:
 
 
 class TestLowEnergyIdentities:
-    """Where the effective Hamiltonian meets the machine: two exact identities."""
+    """Where the effective Hamiltonian meets the machine: three exact identities."""
 
     @pytest.mark.parametrize("periods,triggers", [
         ((10, 7), [(0, 0)]),
@@ -368,6 +368,21 @@ class TestLowEnergyIdentities:
         floor = 2 * x / math.pi - math.sin(x) ** 2
         cmp_ = quantize.compare_dynamics(two_state_model(*periods), 0, 2 * math.lcm(*periods))
         assert floor - 1e-4 < cmp_.max_classical_effective <= floor + 1e-12
+
+    @pytest.mark.parametrize("periods,triggers,expected", [
+        ((10, 7), [(0, 0)], Fraction(1, 4)),
+        ((31, 29), [(0, 0), (5, 11), (17, 3)], Fraction(3, 4)),
+        ((12, 18), [(0, 0), (6, 9)], Fraction(1, 12)),
+        ((42, 50), [(0, 0), (14, 10), (28, 20)], Fraction(3, 8)),
+    ])
+    def test_coupling_over_the_joint_gap_is_k_over_4g(self, periods, triggers, expected):
+        # the free machine's cycles all have length L = lcm(Pa, Pb), its joint
+        # gap is 2*pi/L, and (pi/2)*K/(Pa*Pb) over that gap is K/(4*gcd(Pa, Pb))
+        lap, = set(fastslow.check_bijectivity(fastslow.OntologicalModel(2, periods)).ranks)
+        m = fastslow.OntologicalModel(2, periods, tuple(
+            fastslow.SpecialPoint((0, 1), trigger) for trigger in triggers))
+        ratio = quantize.ground_project(m).coupling((0, 1)) * lap / 4
+        assert ratio == Fraction(len(triggers), 4 * math.gcd(*periods)) == expected
 
 
 class TestCompileTarget:
@@ -792,6 +807,23 @@ def test_snapped_two_state_targets_compile_as_before():
         assert model.periods == (pa, pb) and len(model.special_points) == k
         digest.update(fastslow.model_to_json(model).encode())
     assert digest.hexdigest().startswith("31639b0e4a023e9a")
+
+
+@pytest.mark.parametrize("periods", [(2, 3), (16, 32), (21, 35), (4, 6, 9), (1, 7, 1, 5)])
+def test_free_levels_against_the_direct_sum(periods):
+    # per phase combination: its float sum, in the clocks' order, and its exact level
+    model = fastslow.OntologicalModel(len(periods), periods)
+    sums = np.zeros(1)
+    for period in periods:
+        sums = (sums[:, None] + 2.0 * np.pi * np.arange(period) / period).reshape(-1)
+    exact = Counter(sum(Fraction(n, t) for n, t in zip(phases, periods))
+                    for phases in itertools.product(*map(range, periods)))
+    levels, distinct, counts = quantize.free_levels(model)
+    assert np.array_equal(levels, np.sort(sums))
+    assert np.array_equal(quantize.free_energy_levels(model),
+                          np.sort(np.tile(sums, model.slow_count)))
+    assert counts.tolist() == [exact[x] * model.slow_count for x in sorted(exact)]
+    assert np.allclose(distinct, [2 * np.pi * float(x) for x in sorted(exact)], rtol=0, atol=1e-12)
 
 
 def test_free_levels_size_cap():
