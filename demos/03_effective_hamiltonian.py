@@ -29,7 +29,8 @@ def main():
     # One evolution step of the interchange term alone is a classical swap
     # (with a harmless sign): no superposition is ever generated.
     print("exp(-(pi/2) i sigma_y) =")
-    print(np.round(quantize.classical_interchange_check().real, 12))
+    print(np.round(quantize.evolution_operator(
+        quantize.INTERCHANGE_WEIGHT * quantize.PAULI_Y, 1.0).real, 12))
 
     eff = quantize.ground_project(model)
     pc = eff.couplings[0]

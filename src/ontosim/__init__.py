@@ -38,7 +38,6 @@ from .quantize import (
     UnreachableToleranceError,
     build_full_hamiltonian,
     build_interchange,
-    classical_interchange_check,
     compare_dynamics,
     compile_target,
     ground_project,

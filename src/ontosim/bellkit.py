@@ -188,14 +188,6 @@ def malus_deterministic_model() -> FactorizedModel:
                            kinks=lambda setting: _zeros(setting + math.pi / 4, math.pi / 2))
 
 
-def sawtooth_correlation(a, b):
-    """Closed form of the deterministic threshold model: 1 - 4 d / pi with d
-    the circular distance of the settings on [0, pi)."""
-    d = np.abs(normalize_angle(a) - normalize_angle(b))
-    d = np.minimum(d, math.pi - d)
-    return 1.0 - 4.0 * d / math.pi
-
-
 # ---------------------------------------------------------------------------
 # CHSH
 
@@ -249,11 +241,6 @@ NORMALIZATION = 0.5  # C on the domain [0, pi)^3
 def outcome_sign(setting, lam):
     """Deterministic detector outcome: sign of cos 2(lam - setting), 0 -> +1."""
     return np.where(np.cos(2.0 * (np.asarray(lam) - setting)) >= 0.0, 1.0, -1.0)
-
-
-def detection_from_outcome(setting, lam):
-    """Detection probability {0, 1} carried by the deterministic outcome."""
-    return (outcome_sign(setting, lam) + 1.0) / 2.0
 
 
 def conditional_density(lam, a, b):
@@ -331,22 +318,6 @@ def sample_conditional_lambda(a, b, count: int, rng: np.random.Generator) -> np.
     return np.remainder(first_zero + arch * (math.pi / 4.0) + w, math.pi)
 
 
-def conditional_cdf(lam, a: float, b: float) -> np.ndarray:
-    """Closed-form CDF of the conditional density (sampler oracle)."""
-    lam = np.asarray(lam, dtype=float)
-    first_zero = (2.0 * (a + b)) % math.pi / 4.0
-
-    def mass_from_first_zero(x):
-        rel = x - first_zero
-        arch, w = np.divmod(rel, math.pi / 4.0)
-        return arch / 4.0 + (1.0 - np.cos(4.0 * w)) / 8.0
-
-    tail = mass_from_first_zero(np.array(math.pi))  # mass of [first_zero, pi)
-    return np.where(lam >= first_zero,
-                    mass_from_first_zero(lam) + 1.0 - tail,
-                    mass_from_first_zero(lam + math.pi) - tail)
-
-
 @dataclass(frozen=True, eq=False)
 class TripleSamples:
     """Joint draws of settings, source variable and deterministic outcomes."""
@@ -377,9 +348,13 @@ def sample_triples(count: int, seed: int) -> TripleSamples:
 
 
 def mc_correlation(a: float, b: float, count: int, rng: np.random.Generator) -> float:
-    """Monte Carlo E(a, b) at fixed settings from conditional draws."""
-    lam = sample_conditional_lambda(a, b, count, rng)
-    return float(np.mean(outcome_sign(a, lam) * outcome_sign(b, lam)))
+    """Monte Carlo E(a, b) at fixed settings from conditional draws, taken from
+    ``rng`` 2**14 at a time; the +-1 products sum exactly in any order."""
+    total = 0.0
+    for start in range(0, count, 2 ** 14):
+        lam = sample_conditional_lambda(a, b, min(2 ** 14, count - start), rng)
+        total += float(np.sum(outcome_sign(a, lam) * outcome_sign(b, lam)))
+    return total / count
 
 
 def mc_chsh(a: float, a_prime: float, b: float, b_prime: float,

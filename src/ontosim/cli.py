@@ -1,8 +1,8 @@
 """Batch front end: file-in, file-out experiments over the library.
 
 Subcommands: cycles, spectrum, simulate, compile, compare, bell.  All angles
-in files and flags are degrees (converted at this boundary; the library works
-in radians).  Each subcommand accepts exactly the options it reads
+in files and flags are degrees (reduced modulo 180 and converted at this
+boundary; the library works in radians on [0, pi)).  Each subcommand accepts exactly the options it reads
 (``_COMMANDS``), from flags or a JSON config file, flags overriding config
 fields, and checks them alike; nothing is read from the environment.
 Commands are deterministic given their inputs and seed.  Diagnostics go to
@@ -115,7 +115,9 @@ def _degrees(value, name: str) -> tuple[float, float, float, float]:
     if len(parts) != 4 or not all(math.isfinite(v) for v in parts):
         raise ValueError(f"{name} must be four finite degrees a,a',b,b', "
                          f"not {ontodyn.shown(value)}")
-    return tuple(math.radians(v) for v in parts)  # type: ignore[return-value]
+    # polarization is mod 180 degrees, so reduce to [0, 180) first; a tiny
+    # negative angle's remainder rounds up to 180 itself, which the second % folds to 0
+    return tuple(math.radians(v % 180.0 % 180.0) for v in parts)  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------

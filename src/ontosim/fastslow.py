@@ -317,16 +317,6 @@ def flat_config(model: OntologicalModel, slow: int, phases) -> int:
     return int(slow) * model.phase_space_size + int(np.dot(np.asarray(phases, np.int64), strides))
 
 
-def unflatten_config(model: OntologicalModel, flat: int) -> ClassicalConfig:
-    p = model.phase_space_size
-    slow, rem = divmod(int(flat), p)
-    phases = []
-    for stride in phase_strides(model.periods):
-        d, rem = divmod(rem, int(stride))
-        phases.append(int(d))
-    return ClassicalConfig(slow=slow, phases=tuple(phases))
-
-
 def _all_phase_rows(model: OntologicalModel) -> np.ndarray:
     """(P, n_clocks) array of every phase combination, in flat-index order."""
     p = model.phase_space_size

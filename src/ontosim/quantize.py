@@ -133,8 +133,9 @@ def build_full_hamiltonian(model: fastslow.OntologicalModel):
 def free_levels(model: fastslow.OntologicalModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The free levels 2*pi*sum_i n_i/T_i of the P phase combinations, sorted; the distinct
     levels 2*pi*m/L, m = sum_i n_i*L/T_i and L = lcm(periods), each the least of its sums;
-    and their multiplicities, slow states included.  No matrix is built."""
-    fastslow.check_enumerable("ontic space", model.ontic_space_size)
+    and their multiplicities, slow states included.  No matrix is built; a P above
+    :data:`fastslow.ENUMERATION_CAP` is refused, whatever the slow count."""
+    fastslow.check_enumerable("phase space", model.phase_space_size)
     lap = math.lcm(*model.periods)
     levels, numerators = np.zeros(1), np.zeros(1, dtype=np.int64)
     for period in model.periods:
@@ -143,20 +144,6 @@ def free_levels(model: fastslow.OntologicalModel) -> tuple[np.ndarray, np.ndarra
     order = np.lexsort((levels, numerators))  # by m, then sum; distinct m lie 2*pi/L apart
     _, first, counts = np.unique(numerators[order], return_index=True, return_counts=True)
     return levels[order], levels[order[first]], counts * model.slow_count
-
-
-def free_energy_levels(model: fastslow.OntologicalModel) -> np.ndarray:
-    """All eigenvalues of the free Hamiltonian, sorted, slow states included."""
-    return np.repeat(free_levels(model)[0], model.slow_count)
-
-
-def classical_interchange_check() -> np.ndarray:
-    """exp(-(pi/2)*1j*sigma_y) by actual matrix exponential.
-
-    Must come out as [[0, -1], [1, 0]]: a pure interchange with a sign, no
-    superposition generated.
-    """
-    return evolution_operator(INTERCHANGE_WEIGHT * PAULI_Y, 1.0)
 
 
 def evolution_operator(hamiltonian: np.ndarray, t: float) -> np.ndarray:
@@ -228,19 +215,6 @@ class EffectiveHamiltonian:
         return Fraction(0, 1)
 
 
-def ground_delta_expectation(period: int, trigger: int = 0) -> Fraction:
-    """Expectation of the phase projector delta_{phi, trigger} in the uniform
-    ground state of one clock, summed in exact rational arithmetic."""
-    if not 0 <= trigger < period:
-        raise ValueError("trigger outside the clock period")
-    total = Fraction(0)
-    weight = Fraction(1, period)  # |amplitude|^2 of each of the period points
-    for phase in range(period):
-        if phase == trigger:
-            total += weight
-    return total
-
-
 def _pair_counts(model: fastslow.OntologicalModel) -> tuple[PairCoupling, ...]:
     return tuple(
         PairCoupling(pair=pair, points=len(triggers),
@@ -279,19 +253,6 @@ def ground_project(model: fastslow.OntologicalModel) -> EffectiveHamiltonian:
             raise ProjectionMismatchError(
                 "explicit ground projection disagrees with the rational table")
     return EffectiveHamiltonian(matrix=expected, couplings=couplings)
-
-
-def effective_to_json(eff: EffectiveHamiltonian) -> str:
-    doc = {
-        "couplings": [
-            {"pair": list(pc.pair), "num": pc.points, "den": pc.denominator}
-            for pc in eff.couplings],
-        "matrix": {
-            "real": eff.matrix.real.tolist(),
-            "imag": eff.matrix.imag.tolist(),
-        },
-    }
-    return json.dumps(doc, indent=2)
 
 
 # ---------------------------------------------------------------------------

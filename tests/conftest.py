@@ -1,10 +1,11 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
 
-from ontosim import fastslow, ontodyn
+from ontosim import bellkit, fastslow, ontodyn, quantize
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -114,6 +115,17 @@ def reference_step(model: fastslow.OntologicalModel, slow: np.ndarray,
     return new_slow, phases
 
 
+def unflatten_config(model: fastslow.OntologicalModel, flat: int) -> fastslow.ClassicalConfig:
+    """Inverse of :func:`fastslow.flat_config`, digit by digit."""
+    p = model.phase_space_size
+    slow, rem = divmod(int(flat), p)
+    phases = []
+    for stride in fastslow.phase_strides(model.periods):
+        d, rem = divmod(rem, int(stride))
+        phases.append(int(d))
+    return fastslow.ClassicalConfig(slow=slow, phases=tuple(phases))
+
+
 def reference_cycles(model: fastslow.OntologicalModel) -> ontodyn.CycleDecomposition:
     """Oracle for :func:`fastslow.check_bijectivity`: the generic per-state
     walk of the tabulated step map."""
@@ -134,8 +146,6 @@ def random_factorized_model(rng: np.random.Generator):
     integrates to zero over [0, pi) analytically, so quadrature normalization
     holds to machine precision.  Responses stay strictly inside [0, 1].
     """
-    from ontosim import bellkit
-
     def trig_mix(base, budget, n_terms):
         amps = rng.uniform(-1.0, 1.0, size=n_terms)
         amps *= budget / max(1.0, np.abs(amps).sum() / 0.9)
@@ -174,3 +184,45 @@ def reference_quad(f, points, end: float = math.pi) -> float:
     val, _ = integrate.quad(f, 0.0, end, points=pts or None,
                             limit=200, epsabs=1e-12, epsrel=1e-12)
     return val
+
+
+def free_energy_levels(model: fastslow.OntologicalModel) -> np.ndarray:
+    """All eigenvalues of the free Hamiltonian, sorted, slow states included."""
+    return np.repeat(quantize.free_levels(model)[0], model.slow_count)
+
+
+def ground_delta_expectation(period: int, trigger: int = 0) -> Fraction:
+    """Expectation of the phase projector delta_{phi, trigger} in the uniform
+    ground state of one clock, summed in exact rational arithmetic."""
+    if not 0 <= trigger < period:
+        raise ValueError("trigger outside the clock period")
+    total = Fraction(0)
+    weight = Fraction(1, period)  # |amplitude|^2 of each of the period points
+    for phase in range(period):
+        if phase == trigger:
+            total += weight
+    return total
+
+
+def sawtooth_correlation(a, b):
+    """Closed form of the deterministic threshold model: 1 - 4 d / pi with d
+    the circular distance of the settings on [0, pi)."""
+    d = np.abs(bellkit.normalize_angle(a) - bellkit.normalize_angle(b))
+    d = np.minimum(d, math.pi - d)
+    return 1.0 - 4.0 * d / math.pi
+
+
+def conditional_cdf(lam, a: float, b: float) -> np.ndarray:
+    """Closed-form CDF of the conditional density (sampler oracle)."""
+    lam = np.asarray(lam, dtype=float)
+    first_zero = (2.0 * (a + b)) % math.pi / 4.0
+
+    def mass_from_first_zero(x):
+        rel = x - first_zero
+        arch, w = np.divmod(rel, math.pi / 4.0)
+        return arch / 4.0 + (1.0 - np.cos(4.0 * w)) / 8.0
+
+    tail = mass_from_first_zero(np.array(math.pi))  # mass of [first_zero, pi)
+    return np.where(lam >= first_zero,
+                    mass_from_first_zero(lam) + 1.0 - tail,
+                    mass_from_first_zero(lam + math.pi) - tail)

@@ -14,7 +14,8 @@ import scipy.sparse as sparse
 from ontosim import bellkit, fastslow, ontodyn, quantize
 from ontosim.fixtures import fixture_path
 
-from conftest import make_rng, random_factorized_model, random_model, two_state_model
+from conftest import (ground_delta_expectation, make_rng, random_factorized_model, random_model,
+                      two_state_model)
 from test_quantize import exact_projection_table
 
 SQRT2 = math.sqrt(2.0)
@@ -56,14 +57,14 @@ def test_criterion_02_spectral_law():
 
 
 def test_criterion_03_classical_interchange():
-    got = quantize.classical_interchange_check()
+    got = quantize.evolution_operator(quantize.INTERCHANGE_WEIGHT * quantize.PAULI_Y, 1.0)
     dev = float(np.abs(got - np.array([[0.0, -1.0], [1.0, 0.0]])).max())
     _report(3, dev <= 1e-12, f"exp(-(pi/2)i sigma_y) deviation {dev:.2e}")
 
 
 def test_criterion_04_ground_state_expectations():
     ok = all(
-        quantize.ground_delta_expectation(n, trigger=n // 3) == Fraction(1, n)
+        ground_delta_expectation(n, trigger=n // 3) == Fraction(1, n)
         for n in range(2, 65))
     _report(4, ok, "<0|delta|0> = 1/N exactly for N in 2..64 (rational arithmetic)")
 

@@ -9,7 +9,7 @@ from scipy import stats
 
 from ontosim import bellkit, ontodyn
 
-from conftest import make_rng, random_factorized_model
+from conftest import conditional_cdf, make_rng, random_factorized_model, sawtooth_correlation
 
 SQRT2 = math.sqrt(2.0)
 
@@ -27,13 +27,13 @@ class TestAngles:
         assert bellkit.complementary(3 * math.pi / 4) == pytest.approx(math.pi / 4)
 
     def test_complementary_detection_sums_to_one(self):
-        # deterministic outcomes give P(a) + P(a~) = 1 pointwise
+        # deterministic outcomes are opposite at complementary settings, so the
+        # detections (1 + sign) / 2 give P(a) + P(a~) = 1 pointwise
         rng = make_rng(31)
         a = rng.random(200) * math.pi
         lam = rng.random(200) * math.pi
-        total = (bellkit.detection_from_outcome(a, lam)
-                 + bellkit.detection_from_outcome(bellkit.complementary(a), lam))
-        assert np.all(total == 1.0)
+        total = bellkit.outcome_sign(a, lam) + bellkit.outcome_sign(bellkit.complementary(a), lam)
+        assert np.all(total == 0.0)
 
 
 class TestQuantumCorrelation:
@@ -62,7 +62,7 @@ class TestFactorized:
         for _ in range(8):
             a, b = rng.random(2) * math.pi
             assert bellkit.factorized_correlation(m, a, b) == pytest.approx(
-                bellkit.sawtooth_correlation(a, b), abs=1e-9)
+                sawtooth_correlation(a, b), abs=1e-9)
 
     def test_rejects_unnormalized_density(self):
         m = bellkit.FactorizedModel(
@@ -85,7 +85,7 @@ class TestChsh:
         assert not r.violates_classical_bound
 
     def test_sawtooth_saturates_bound(self):
-        r = bellkit.chsh_score(bellkit.sawtooth_correlation, *bellkit.STANDARD_SETTINGS)
+        r = bellkit.chsh_score(sawtooth_correlation, *bellkit.STANDARD_SETTINGS)
         assert abs(r.score - 2.0) < 1e-12
 
     def test_factorized_models_respect_bound(self):
@@ -157,13 +157,13 @@ class TestSampling:
         lam = bellkit.sample_conditional_lambda(a, b, 100_000, rng)
         edges = np.linspace(0.0, math.pi, 25)
         observed, _ = np.histogram(lam, edges)
-        expected = np.diff(bellkit.conditional_cdf(edges, a, b)) * lam.size
+        expected = np.diff(conditional_cdf(edges, a, b)) * lam.size
         chi2 = stats.chisquare(observed, expected)
         assert chi2.pvalue > 0.001
 
     def test_cdf_is_a_cdf(self):
         grid = np.linspace(0.0, math.pi, 301)
-        vals = bellkit.conditional_cdf(grid, 0.7, 2.2)
+        vals = conditional_cdf(grid, 0.7, 2.2)
         assert vals[0] == pytest.approx(0.0, abs=1e-12)
         assert vals[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(vals) >= -1e-12)

@@ -154,12 +154,22 @@ class TestSpectrum:
         assert len(rows) == 1000 and all(row.endswith(",1000") for row in rows)
         assert peak <= 4 * 2 ** 20
 
+    def test_cap_counts_phase_combinations(self, tmp_path):
+        # 1001 slow states over 1000 phase combinations: 1001000 ontic states,
+        # but the levels are summed over the 1000 combinations only
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"slow_count": 1001, "periods": [1000] + [1] * 1000}))
+        out = tmp_path / "levels.csv"
+        assert cli.main(["spectrum", "--input", str(path), "--output", str(out)]) == ExitCode.OK
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 1000 and all(row.endswith(",1001") for row in rows)
+
     def test_model_over_the_cap_writes_no_file(self, capsys, tmp_path):
         path = tmp_path / "big.json"
         path.write_text('{"slow_count": 2, "periods": [1000, 1001]}')
         out = tmp_path / "levels.csv"
         code, _, err = run(capsys, "spectrum", "--input", str(path), "--output", str(out))
-        assert code == ExitCode.SIZE_CAP and "2002000" in err
+        assert code == ExitCode.SIZE_CAP and "phase space 1001000" in err
         assert not out.exists()
 
 
@@ -383,6 +393,20 @@ class TestBell:
         chsh = json.loads((out_dir / "chsh.json").read_text())
         assert chsh["settings_deg"] == pytest.approx([0.0, 45.0, 22.5, 67.5])
 
+
+    @pytest.mark.parametrize("given,reduced", [("6e10,1,2,3", "60,1,2,3"),
+                                               ("-45,45,22.5,67.5", "135,45,22.5,67.5"),
+                                               ("-1e-20,45,22.5,67.5", "0,45,22.5,67.5")])
+    def test_settings_are_reduced_modulo_180(self, capsys, tmp_path, given, reduced):
+        # polarization is mod 180 degrees; unreduced, 6e10 degrees defeated the quadrature
+        bundles = []
+        for name, settings in (("given", given), ("reduced", reduced)):
+            out_dir = tmp_path / name
+            code, _, _ = run(capsys, "bell", "--output", str(out_dir), "--grid", "4",
+                             "--samples", "1000", "--seed", "7", f"--settings={settings}")
+            assert code == ExitCode.OK
+            bundles.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+        assert bundles[0] == bundles[1] and len(bundles[0]) == 4
 
     @pytest.mark.parametrize("flag,value", [
         ("--settings", "x,45,22.5,67.5"),

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from ontosim import bellkit, cli, fastslow, ontodyn, quantize
 
-from conftest import make_rng, two_state_model
+from conftest import free_energy_levels, make_rng, two_state_model
 
 CHUNK = ontodyn.CSV_CHUNK
 SPECIAL_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308,
@@ -213,7 +213,7 @@ class TestTableWriters:
         path.write_text('{"slow_count": 2, "periods": [2, 3], "special_points": []}')
         assert cli.main(["spectrum", "--input", str(path)]) == 0
         model = fastslow.model_from_json(path.read_text())
-        distinct, counts = np.unique(np.round(quantize.free_energy_levels(model), 12),
+        distinct, counts = np.unique(np.round(free_energy_levels(model), 12),
                                      return_counts=True)
         old = "level,energy,multiplicity\n" + "".join(
             f"{i},{float(e)!r},{int(m)}\n" for i, (e, m) in enumerate(zip(distinct, counts)))

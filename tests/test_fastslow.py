@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from ontosim import cli, fastslow, ontodyn, quantize
 from ontosim.fixtures import fixture_path
 
-from conftest import make_rng, random_model, reference_cycles, two_state_model
+from conftest import (free_energy_levels, make_rng, random_model, reference_cycles,
+                      two_state_model, unflatten_config)
 
 
 class TestSpecialPoint:
@@ -309,7 +310,7 @@ class TestFreeSpectrumStructure:
             enumerated = np.concatenate([
                 ontodyn.cycle_spectrum(r).eigenphases for r in
                 [len(c) for c in d.cycles]])
-            direct = np.exp(-1j * quantize.free_energy_levels(m))
+            direct = np.exp(-1j * free_energy_levels(m))
             enumerated = np.sort_complex(np.round(enumerated, 10))
             direct = np.sort_complex(np.round(direct, 10))
             assert np.abs(enumerated - direct).max() < 1e-10
@@ -317,7 +318,7 @@ class TestFreeSpectrumStructure:
     def test_ground_level_unique_per_slow_state(self):
         for periods in [(4, 6), (5, 7, 2), (9,)]:
             m = fastslow.OntologicalModel(slow_count=len(periods), periods=periods)
-            levels = quantize.free_energy_levels(m)
+            levels = free_energy_levels(m)
             zeros = np.sum(np.abs(levels) < 1e-12)
             assert zeros == m.slow_count
             positive = levels[levels > 1e-12]
@@ -429,10 +430,10 @@ class TestFlatIndexing:
         m = fastslow.OntologicalModel(slow_count=2, periods=(3, 4))
         # slow major, then clock 0, then clock 1
         assert fastslow.flat_config(m, 1, (2, 3)) == 1 * 12 + 2 * 4 + 3
-        cfg = fastslow.unflatten_config(m, 23)
+        cfg = unflatten_config(m, 23)
         assert cfg == fastslow.ClassicalConfig(slow=1, phases=(2, 3))
         for flat in range(m.ontic_space_size):
-            c = fastslow.unflatten_config(m, flat)
+            c = unflatten_config(m, flat)
             assert fastslow.flat_config(m, c.slow, c.phases) == flat
 
 

@@ -6,6 +6,8 @@ occupation counts, the step-map image and the signed Koopman permutation.
 Any rewrite of the cycle listing must reproduce the ``ontosim cycles`` report
 bytes and the ``ontosim spectrum`` CSV bytes, of machines and of laws alike,
 and the free levels ``ontosim spectrum`` writes for a model.
+Any rewrite of the Bell sampling must reproduce the ``ontosim bell`` files
+and the Monte Carlo CHSH score to the bit.
 """
 
 import hashlib
@@ -14,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from ontosim import cli, fastslow, ontodyn, quantize
+from ontosim import bellkit, cli, fastslow, ontodyn, quantize
 from ontosim.fixtures import fixture_path
 
 from conftest import make_rng, random_law_image, random_model
@@ -97,6 +99,19 @@ MODEL_SPECTRA = {  # ``ontosim spectrum`` of a model: its free levels and multip
     (21, 35): "17687d6ce82a12898ad9cbc704639597cdf9f96eb8dfd643654502e6406dd5ae",
     (4, 6, 9): "b0db2e78784a7e574665255c050abca2403fe9166afcb6202dc9dd042b6a5bc2",
 }
+BELL_FILES = {  # ``ontosim bell --grid 4 --samples 1000 --seed 7``
+    "chsh.json": "9e1c3ea5dbf94d26b0564c3f89ebecf5313c87ed8da81658c549b593188c58ad",
+    "flatness.json": "53ae654f93754a27de772ada2f51a6185fd48e928c1b27b27be2462d0f18641a",
+    "grid.csv": "5e8158beacc1a2cc362335f7ec53bf9413ae0658ae95a01dadf776b940f539ef",
+    "samples.csv": "bc4f6d2bf43ac13033c10e9bf1f22cf0cd552e94710072e45d87f8ef95f2e505",
+}
+MC_CHSH = {  # samples per setting: ``mc_chsh`` score at the standard settings, seed 5
+    1: "0x1.0000000000000p+2",
+    16383: "0x1.6d09b426d09b4p+1",
+    16384: "0x1.6d10000000000p+1",
+    16385: "0x1.6d0e4bc6d0e4cp+1",
+    250001: "0x1.6a231dee2d23cp+1",
+}
 LAW_OUTPUTS = {
     ("involution_20000", "cycles"):
         "efc9b7992fbe4b7ad47bd335272c7c99c6adbb64ee64b4b267b5186b369d77bb",
@@ -178,3 +193,18 @@ def test_law_outputs_match_golden(name, command, tmp_path):
     source = tmp_path / "law.json"
     source.write_text(ontodyn.law_to_json(seeded_law(name)))
     assert cli_output_digest(tmp_path, command, str(source)) == LAW_OUTPUTS[name, command]
+
+
+def test_bell_files_match_golden(tmp_path):
+    out = tmp_path / "bell"
+    code = cli.main(["bell", "--output", str(out), "--grid", "4", "--samples", "1000",
+                     "--seed", "7"])
+    assert code == cli.ExitCode.OK
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()} == BELL_FILES
+
+
+@pytest.mark.parametrize("samples", sorted(MC_CHSH))
+def test_mc_chsh_matches_golden(samples):
+    result = bellkit.mc_chsh(*bellkit.STANDARD_SETTINGS, samples_per_setting=samples, seed=5)
+    assert result.score.hex() == MC_CHSH[samples]

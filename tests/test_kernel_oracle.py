@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from ontosim import fastslow, ontodyn, quantize
 
-from conftest import make_rng, random_model, reference_step
+from conftest import make_rng, random_model, reference_step, unflatten_config
 
 HORIZON = 30
 SAMPLES = 300
@@ -45,7 +45,7 @@ def check_against_reference(model: fastslow.OntologicalModel, seed: int) -> None
 
     rng = make_rng(seed)
     for flat in rng.integers(model.ontic_space_size, size=5):
-        out = fastslow.step(model, fastslow.unflatten_config(model, flat))
+        out = fastslow.step(model, unflatten_config(model, flat))
         assert fastslow.flat_config(model, out.slow, out.phases) == image[flat]
 
     check_counts(model, seed, HORIZON)

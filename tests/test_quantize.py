@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from ontosim import fastslow, ontodyn, quantize
 
-from conftest import make_rng, random_model, two_state_model
+from conftest import (free_energy_levels, ground_delta_expectation, make_rng, random_model,
+                      two_state_model, unflatten_config)
 
 HALF_PI = quantize.INTERCHANGE_WEIGHT
 
@@ -82,7 +83,7 @@ class TestHamiltonians:
                           for n1 in range(2) for n2 in range(3))
         assert np.allclose(sorted(set(np.round(eigs, 10))), expected, atol=1e-10)
         assert np.allclose(np.sort(eigs), np.sort(np.repeat(expected, 2)), atol=1e-10)
-        assert np.allclose(eigs, quantize.free_energy_levels(m), atol=1e-10)
+        assert np.allclose(eigs, free_energy_levels(m), atol=1e-10)
 
     def test_hermitian(self):
         rng = make_rng(21)
@@ -140,7 +141,7 @@ class TestInterchangeEntries:
 
 class TestClassicalInterchange:
     def test_quarter_turn_is_a_signed_swap(self):
-        u = quantize.classical_interchange_check()
+        u = quantize.evolution_operator(HALF_PI * quantize.PAULI_Y, 1.0)
         assert np.abs(u - np.array([[0.0, -1.0], [1.0, 0.0]])).max() < 1e-12
 
     def test_half_turn_is_minus_identity(self):
@@ -183,7 +184,7 @@ class TestGroundProject:
 
     def test_delta_expectation_is_one_over_period(self):
         for period in (2, 5, 64):
-            assert quantize.ground_delta_expectation(period, period // 2) == Fraction(1, period)
+            assert ground_delta_expectation(period, period // 2) == Fraction(1, period)
 
     def test_large_space_falls_back_to_rational_route(self):
         m = two_state_model(1500, 1500)
@@ -289,7 +290,7 @@ class TestKoopman:
         perm, sign = quantize.koopman_step_operator(m)
         assert np.array_equal(perm, fastslow.step_map(m).image)
         for f in range(m.ontic_space_size):
-            config = fastslow.unflatten_config(m, f)
+            config = unflatten_config(m, f)
             after = fastslow.step(m, config)
             assert perm[f] == fastslow.flat_config(m, after.slow, after.phases)
             assert sign[f] == (-1 if after.slow < config.slow else 1)
@@ -688,12 +689,6 @@ class TestCompileReport:
 
 
 class TestSerialization:
-    def test_effective_json_fields(self):
-        eff = quantize.ground_project(two_state_model(10, 7))
-        doc = json.loads(quantize.effective_to_json(eff))
-        assert doc["couplings"] == [{"pair": [0, 1], "num": 1, "den": 70}]
-        assert doc["matrix"]["imag"][0][1] == pytest.approx(-(np.pi / 2) / 70)
-
     def test_target_roundtrip(self):
         t = TestCompileTarget.pair_target(0.25)
         again = quantize.target_from_json(quantize.target_to_json(t))
@@ -820,7 +815,7 @@ def test_free_levels_against_the_direct_sum(periods):
                     for phases in itertools.product(*map(range, periods)))
     levels, distinct, counts = quantize.free_levels(model)
     assert np.array_equal(levels, np.sort(sums))
-    assert np.array_equal(quantize.free_energy_levels(model),
+    assert np.array_equal(free_energy_levels(model),
                           np.sort(np.tile(sums, model.slow_count)))
     assert counts.tolist() == [exact[x] * model.slow_count for x in sorted(exact)]
     assert np.allclose(distinct, [2 * np.pi * float(x) for x in sorted(exact)], rtol=0, atol=1e-12)
@@ -830,7 +825,7 @@ def test_free_levels_size_cap():
     # (3000, 3001) would take 343 MiB of levels; refused before any allocation
     model = fastslow.OntologicalModel(slow_count=2, periods=(3000, 3001))
     with pytest.raises(ontodyn.SizeCapError, match="enumeration cap"):
-        quantize.free_energy_levels(model)
+        free_energy_levels(model)
 
 
 def test_target_size_cap():
