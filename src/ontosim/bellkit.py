@@ -106,7 +106,7 @@ def _integrate(f: Callable, kinks: Sequence[float], end: float = math.pi) -> flo
         edges = np.array(sorted({*edges.tolist(), *(min(max(k, 0.0), end) for k in kinks)}))
     lo, hi = edges[:-1], edges[1:]
     total, done = 0.0, 0
-    while lo.size:
+    while True:
         if done + lo.size > 200:
             raise QuadratureError("integral not resolved to 1e-9 within 200 panels")
         mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
@@ -123,7 +123,6 @@ def _integrate(f: Callable, kinks: Sequence[float], end: float = math.pi) -> flo
         total += fine[accept].sum()
         done += int(accept.sum())
         lo, hi = np.concatenate([lo[split], mid[split]]), np.concatenate([mid[split], hi[split]])
-    return float(total)
 
 
 # ---------------------------------------------------------------------------

@@ -74,15 +74,6 @@ class PermutationLaw:
     def size(self) -> int:
         return int(self.image.size)
 
-    def apply(self, k: int) -> int:
-        """One forward step of the law."""
-        return int(self.image[k])
-
-    def inverse(self) -> "PermutationLaw":
-        inv = np.empty(self.size, dtype=np.int64)
-        inv[self.image] = np.arange(self.size, dtype=np.int64)
-        return PermutationLaw(inv)
-
 
 class Cycles(abc.Sequence):
     """The cycles of a permutation as one read-only int64 listing.
@@ -153,10 +144,6 @@ class CycleDecomposition:
 
     cycles: Cycles
     ranks: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return sum(self.ranks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,10 +412,6 @@ def law_from_doc(doc) -> PermutationLaw:
 def load_law(path) -> PermutationLaw:
     with open(path, "r", encoding="utf-8") as fh:
         return law_from_json(fh.read())
-
-
-def law_to_json(law: PermutationLaw) -> str:
-    return json.dumps({"size": law.size, "image": law.image.tolist()})
 
 
 def cycles_report(decomp: CycleDecomposition) -> dict:

@@ -312,10 +312,18 @@ class DynamicsComparison:
 
 def compare_dynamics(model: fastslow.OntologicalModel, initial_slow: int, horizon: int,
                      sample_count: int = 0, seed: int = 0) -> DynamicsComparison:
+    """Slow-state occupations of ``model`` from ``initial_slow``, steps 0..``horizon``.
+
+    ``classical`` is :func:`fastslow.enumerate_exact` over every clock phase;
+    ``quantum`` steps |initial_slow> with every clock in its uniform ground
+    state by :func:`koopman_step_operator` and reads it in the ontic basis;
+    ``effective`` evolves the slow state under :func:`ground_project`'s
+    matrix.  With ``sample_count`` > 0 a seeded :func:`fastslow.run_ensemble`
+    rides along.  Each size cap is refused before anything is allocated: the
+    ontic space first, then the occupation table, then the samples.
+    """
     n = model.slow_count
     p_total = model.phase_space_size
-    # each step below refuses its size caps before it allocates: the ontic
-    # space first, then the occupation table and the samples
     perm, sign = koopman_step_operator(model)
     classical = fastslow.enumerate_exact(model, initial_slow, horizon).fractions
     ensemble = (fastslow.run_ensemble(model, initial_slow, horizon, sample_count, seed)
@@ -455,14 +463,13 @@ def _approximate_coupling(pair: tuple[int, int], mag: float, tolerance: float,
 
 
 def _spread_points(period_a: int, period_b: int, count: int) -> np.ndarray:
-    """count distinct trigger cells, evenly spaced along the joint cycle when
-    possible, otherwise evenly over the full torus grid: (count, 2) int64."""
-    joint = math.lcm(period_a, period_b)
-    if count <= joint:
-        ts = np.arange(count, dtype=np.int64) * joint // count
-        return np.column_stack((ts % period_a, ts % period_b))
-    idx = np.arange(count, dtype=np.int64) * (period_a * period_b) // count
-    return np.column_stack((idx // period_b, idx % period_b))
+    """count distinct trigger cells of a pair, (count, 2) int64: the cells d*L + tau
+    (diagonal orbit d, position tau, L = lcm(Pa, Pb): :func:`fastslow._orbit_position`)
+    at k*Pa*Pb // count, each the cell (tau mod Pa, (tau - d) mod Pb).  Each orbit gets
+    floor or ceil of count/gcd(Pa, Pb), consecutive ones Pa*Pb // count or one more apart."""
+    orbit, tau = np.divmod(np.arange(count, dtype=np.int64) * (period_a * period_b) // count,
+                           math.lcm(period_a, period_b))
+    return np.column_stack((tau % period_a, (tau - orbit) % period_b))
 
 
 def _pair_rows(pair: tuple[int, int], triggers: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -14,6 +15,10 @@ def make_rng(seed: int) -> np.random.Generator:
 
 def random_law_image(rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.permutation(size).astype(np.int64)
+
+
+def law_to_json(law: ontodyn.PermutationLaw) -> str:
+    return json.dumps({"size": law.size, "image": law.image.tolist()})
 
 
 def random_model(rng: np.random.Generator, max_slow: int = 4, min_period: int = 2,

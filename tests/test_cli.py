@@ -173,6 +173,14 @@ class TestSpectrum:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_law_given_where_a_model_is_needed(capsys, command):
+    code, out, err = run(capsys, command, "--input", FIGURE1, "--horizon", "3",
+                         "--samples", "10", "--seed", "1")
+    assert code == ExitCode.USAGE and out == ""
+    assert f"{command} needs a model file, not a permutation" in err
+
+
 class TestSimulate:
     def test_deterministic_output(self, capsys, tmp_path):
         out1 = tmp_path / "a.csv"

@@ -50,6 +50,15 @@ class TestModelValidation:
         assert all(type(v) is int for v in (*m.special_points[0].pair,
                                             *m.special_points[0].trigger))
 
+    @pytest.mark.parametrize("table", [np.zeros((1, 4)), np.zeros((1, 3), dtype=np.int64)])
+    def test_point_table_must_be_k_by_4_signed_integers(self, table):
+        with pytest.raises(fastslow.ModelValidationError, match=r"\(K, 4\) array of signed"):
+            fastslow.OntologicalModel(slow_count=2, periods=(5, 5), special_points=table)
+
+    def test_no_slow_states(self):
+        with pytest.raises(fastslow.ModelValidationError, match="slow_count must be >= 1"):
+            fastslow.OntologicalModel(slow_count=0, periods=())
+
     def test_period_count_mismatch(self):
         with pytest.raises(fastslow.ModelValidationError):
             fastslow.OntologicalModel(slow_count=2, periods=(5,))

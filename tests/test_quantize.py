@@ -4,13 +4,14 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ontosim import fastslow, ontodyn, quantize
@@ -659,6 +660,47 @@ class TestCompileTarget:
         assert quantize.compare_dynamics(m, 0, 12).max_classical_quantum <= 1e-10
 
 
+class TestSpreadPoints:
+    """A pair's trigger cells, spread over every diagonal orbit of its clocks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_every_orbit_gets_an_even_share(self, data):
+        pa, pb = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+        count = data.draw(st.integers(1, pa * pb))
+        cells = quantize._spread_points(pa, pb, count)
+        x, y = cells[:, 0], cells[:, 1]
+        g, joint = math.gcd(pa, pb), math.lcm(pa, pb)
+        assert cells.shape == (count, 2) and cells.dtype == np.int64
+        assert np.all((0 <= x) & (x < pa) & (0 <= y) & (y < pb))
+        assert np.unique(x * pb + y).size == count
+        per_orbit = np.bincount((x - y) % g, minlength=g)
+        assert per_orbit.max() - per_orbit.min() <= 1
+        orbits, positions = fastslow._orbit_position(pa, pb, x, y)
+        for orbit in np.unique(orbits):
+            gaps = np.diff(np.sort(positions[orbits == orbit]))
+            assert gaps.size == 0 or gaps.max() - gaps.min() <= 1
+        if g == 1:  # the cells of the joint-cycle rule, ts = k*L // count
+            ts = np.arange(count) * joint // count
+            assert np.array_equal(cells, np.column_stack((ts % pa, ts % pb)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(mag=st.floats(1e-3, 1.5), max_period=st.integers(1, 40))
+    @example(mag=0.059, max_period=12)  # 3 points on (8, 10): once all on orbit 0 of 2
+    def test_compiled_pairs_leave_no_orbit_empty(self, mag, max_period):
+        # a config meets only the points on its own diagonal orbit, so an
+        # orbit without one never swaps its slow state
+        target = np.array([[0, 1j * mag], [-1j * mag, 0]])
+        try:
+            m = quantize.compile_target(target, 1e-3, max_period)
+        except quantize.UnreachableToleranceError:
+            return
+        g = math.gcd(*m.periods)
+        if len(m.points) >= g:
+            x, y = m.points[:, 2], m.points[:, 3]
+            assert np.bincount((x - y) % g, minlength=g).min() > 0
+
+
 class TestCompileReport:
     def test_rounded_away_pair_reads_zero_over_one(self):
         t = np.zeros((3, 3), dtype=complex)
@@ -716,6 +758,15 @@ class TestLoopSigns:
         with pytest.raises(quantize.NotRepresentableError, match=r"coupling loop \[2, 0, 1, 2\]"):
             quantize.compile_target(target, 1e-6, 20)
 
+    def test_loop_below_a_common_ancestor_is_trimmed_to_the_loop(self):
+        # the walk reaches 2 and 3 from 1 and closes (2, 3) at 3: the paths up
+        # from 3 and 2 meet at 1, so their shared tail, state 0, is trimmed off
+        t = np.zeros((5, 5), dtype=complex)
+        for (a, b), v in [((0, 1), -0.01), ((1, 2), -0.01), ((2, 3), -0.01), ((1, 3), 0.01)]:
+            t[a, b], t[b, a] = 1j * v, -1j * v
+        with pytest.raises(quantize.NotRepresentableError, match=r"coupling loop \[3, 1, 2, 3\] "):
+            quantize.compile_target(t, 1e-3, 20)
+
     def test_gauge_of_the_machine_compiles_as_the_machine_sign(self):
         gauge = quantize.compile_target(self.triangle((1, 1, -1)), 1e-6, 20)
         assert gauge == quantize.compile_target(self.triangle((-1, -1, -1)), 1e-6, 20)
@@ -761,6 +812,27 @@ def test_max_period_cap():
     with pytest.raises(ontodyn.SizeCapError, match=f"exceeds cap {quantize.MAX_PERIOD_CAP}"):
         quantize.compile_target(target, 1e-3, quantize.MAX_PERIOD_CAP + 1)
     assert quantize.compile_target(target, 1e-3, quantize.MAX_PERIOD_CAP).slow_count == 2
+
+
+@pytest.mark.parametrize("tolerance,max_period,message", [
+    (0.0, 20, "tolerance must be positive"), (math.inf, 20, "tolerance must be positive"),
+    (1e-3, 0, "max_period must be >= 1")])
+def test_compile_refuses_a_bad_tolerance_or_period(tolerance, max_period, message):
+    target = np.array([[0.0, 0.01j], [-0.01j, 0.0]])
+    with pytest.raises(ValueError, match=message):
+        quantize.compile_target(target, tolerance, max_period)
+
+
+def test_interchange_cap_is_refused_before_any_allocation():
+    model = two_state_model(2048, 2049)  # 8 392 704 ontic states
+    tracemalloc.start()
+    try:
+        with pytest.raises(ontodyn.SizeCapError, match="exceeds interchange cap"):
+            quantize.build_interchange(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def star_target(x: float) -> np.ndarray:
