@@ -242,6 +242,11 @@ def outcome_sign(setting, lam):
     return np.where(np.cos(2.0 * (np.asarray(lam) - setting)) >= 0.0, 1.0, -1.0)
 
 
+def _outcomes_agree(a, b, lam):
+    """Where the outcomes at settings a and b are equal: their product is +1."""
+    return (np.cos(2.0 * (lam - a)) >= 0.0) == (np.cos(2.0 * (lam - b)) >= 0.0)
+
+
 def conditional_density(lam, a, b):
     """Density of the source variable at fixed settings: C |sin 2(a+b-2 lam)|."""
     return NORMALIZATION * np.abs(np.sin(2.0 * (a + b - 2.0 * np.asarray(lam))))
@@ -260,8 +265,7 @@ def correlated_expectation(a: float, b: float) -> float:
         # the product of the two outcome signs is +1 where they agree; a sign
         # flip is exact, so this is the density times both signs to the bit
         density = conditional_density(lam, a, b)
-        agree = (np.cos(2.0 * (lam - a)) >= 0.0) == (np.cos(2.0 * (lam - b)) >= 0.0)
-        return np.where(agree, density, -density)
+        return np.where(_outcomes_agree(a, b, lam), density, -density)
 
     return _integrate(integrand, kinks)
 
@@ -348,11 +352,13 @@ def sample_triples(count: int, seed: int) -> TripleSamples:
 
 def mc_correlation(a: float, b: float, count: int, rng: np.random.Generator) -> float:
     """Monte Carlo E(a, b) at fixed settings from conditional draws, taken from
-    ``rng`` 2**14 at a time; the +-1 products sum exactly in any order."""
-    total = 0.0
+    ``rng`` 2**14 at a time: the +-1 outcome products sum to the agreements
+    less the disagreements, an exact integer."""
+    total = 0
     for start in range(0, count, 2 ** 14):
-        lam = sample_conditional_lambda(a, b, min(2 ** 14, count - start), rng)
-        total += float(np.sum(outcome_sign(a, lam) * outcome_sign(b, lam)))
+        size = min(2 ** 14, count - start)
+        lam = sample_conditional_lambda(a, b, size, rng)
+        total += 2 * np.count_nonzero(_outcomes_agree(a, b, lam)) - size
     return total / count
 
 

@@ -22,7 +22,7 @@ product of disjoint transpositions.
 A point fires on exactly one set of phase combinations, its firing set:
 both of its clocks at their trigger values, every other clock free
 (:func:`_firing_flats`).  The tabulated step, :func:`step_tables`, is one
-flat int64 image of the whole ontic space: every config ticks, then the
+flat int32 image of the whole ontic space: every config ticks, then the
 occupants of each coupled pair swap on its firing set one tick ahead.
 :func:`step_map` wraps that image as a permutation, and the Koopman step
 (``quantize.koopman_step_operator``) reads the same image.  The interchange
@@ -45,8 +45,8 @@ ends is the step located and checked (it ticks, onto a run's start, each
 start once), and only the permutation of runs is walked, in ascending order
 of the runs' smallest states, so the cycles arrive each with its smallest
 state in its first run, in ascending order of those states.  They come out
-as one int64 listing (:class:`ontodyn.Cycles`), gathered once from the
-tick-ordered states, never as a Python object per state.
+as one int64 listing (:class:`ontodyn.Cycles`), filled a chunk at a time
+from the tick-ordered states, never as a Python object per state.
 
 Clock periods are meant to be large compared with the inverse couplings of
 interest; that is a soft convention, so the builder only warns (never
@@ -71,6 +71,7 @@ ENUMERATION_CAP = 10 ** 6
 # which stays below 2**63 for periods up to this.
 PERIOD_CAP = 2 ** 31 - 1
 INT64_MAX = 2 ** 63 - 1  # the largest clock period a model holds
+CHUNK = 2 ** 16  # configs a reversibility proof compares or lists per pass
 
 
 class ModelValidationError(ValueError):
@@ -388,21 +389,24 @@ def check_enumerable(what: str, count: int) -> None:
 
 
 def step_tables(model: OntologicalModel) -> np.ndarray:
-    """The full step map as one flat table: ``image[f]`` is the flat index
-    (:func:`flat_config`) that config ``f`` steps to.
+    """The full step map as one flat int32 table: ``image[f]`` is the flat
+    index (:func:`flat_config`) that config ``f`` steps to.
 
     The tick is an outer sum of per-clock ticks, offset by each slow state's
     block.  Then every coupled pair's firing set one tick ahead
     (:func:`_firing_flats`) swaps the images of its occupants of ``a`` and
     ``b``.  The conflict rule (:func:`_validate_model`) keeps the firing sets
-    of pairs that share a slow state disjoint, so the swaps commute.
+    of pairs that share a slow state disjoint, so the swaps commute.  The
+    ontic space is capped at :data:`ENUMERATION_CAP` before anything is
+    built, so every flat index fits int32; :class:`ontodyn.PermutationLaw`
+    (:func:`step_map`) holds it as int64.
     """
     check_enumerable("ontic space", model.ontic_space_size)
     p_total = model.phase_space_size
-    image = np.arange(model.slow_count, dtype=np.int64) * p_total
+    image = np.arange(model.slow_count, dtype=np.int32) * p_total
     for period, stride in zip(model.periods, phase_strides(model.periods)):
         if period > 1:  # a period-1 clock never moves
-            ticked = np.arange(1, period + 1, dtype=np.int64) % period * stride
+            ticked = np.arange(1, period + 1, dtype=np.int32) % period * int(stride)
             image = (image[:, None] + ticked).reshape(-1)
     for (a, b), triggers in _pair_triggers(model).items():
         fired = _firing_flats(model, (a, b), triggers, ticks=1)
@@ -424,27 +428,49 @@ def _tick_orbits(model: OntologicalModel) -> np.ndarray:
     [0, g_{n-1}) with g_i = gcd(lcm(P_0..P_{i-1}), P_i): clock 0 reaches 0 on
     every orbit, and while clocks 0..i-1 are held, clock i moves in steps of
     g_i.  The grid has P/L points, one per orbit, and the rows list them in
-    ascending order.
+    ascending order.  :func:`_orbit_places` inverts the table.
     """
     gaps, lap = [], 1
     for period in model.periods:
         gaps.append(math.gcd(lap, period))
         lap = math.lcm(lap, period)
-    table = np.zeros((1, lap), dtype=np.int32)
+    table = None
     for period, stride, gap in zip(model.periods, phase_strides(model.periods), gaps):
         if period == 1:  # a period-1 clock never moves
             continue
         # row d of the window is clock phase (d + t) mod period at tick t, for d < gap
         ticked = np.tile(np.arange(period, dtype=np.int32) * int(stride), lap // period + 1)
         window = np.lib.stride_tricks.sliding_window_view(ticked, lap)[:gap]
-        table = (table[:, None, :] + window).reshape(-1, lap)
-    return table
+        # the first clock that moves has gap 1: its window is the table so far
+        table = window if table is None else (table[:, None, :] + window).reshape(-1, lap)
+    return np.zeros((1, 1), dtype=np.int32) if table is None else table
 
 
-def _slices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The int32 indices of the slices [start, start + length), one after another."""
-    skip = (starts - (np.cumsum(lengths) - lengths)).astype(np.int32)
-    return np.arange(int(lengths.sum()), dtype=np.int32) + np.repeat(skip, lengths)
+def _orbit_places(periods: tuple[int, ...], flats: np.ndarray) -> np.ndarray:
+    """Where each phase flat lies in :func:`_tick_orbits`' table, read flat:
+    r*L + t for row r and tick t, as int64.
+
+    Solved clock by clock on the table's grid, by the CRT.  Clock 0's phase
+    is the tick.  With clocks 0..i-1 placed, the tick is known modulo their
+    lap L_i = lcm(P_0..P_{i-1}); clock i's phase x then names its grid offset
+    d = (x - t) mod g_i and the tick modulo lcm(L_i, P_i), t + L_i*k with
+    L_i*k = x - d - t (mod P_i), as in :func:`_orbit_position`.  The offsets
+    are the row's digits.
+    """
+    flats = np.asarray(flats, dtype=np.int64)
+    strides = phase_strides(periods)
+    tick, row, lap = flats // strides[0], 0, periods[0]
+    for period, stride in zip(periods[1:], strides[1:]):
+        if period == 1:  # a period-1 clock never moves
+            continue
+        gap = math.gcd(lap, period)
+        behind = flats // stride % period - tick  # x - t
+        offset = behind % gap
+        tick = tick + lap * ((behind - offset) // gap * pow(lap // gap, -1, period // gap)
+                             % (period // gap))
+        row = row * gap + offset
+        lap = lap // gap * period
+    return row * lap + tick
 
 
 def check_bijectivity(model: OntologicalModel) -> ontodyn.CycleDecomposition:
@@ -453,51 +479,58 @@ def check_bijectivity(model: OntologicalModel) -> ontodyn.CycleDecomposition:
     The tick carries every config along its phase's tick orbit
     (:func:`_tick_orbits`) and a swap changes only its slow state, so each
     (slow state, orbit) row, in tick order, splits into runs that end where
-    the image is not the row's next config, and at the end of the lap.
-    Only the run ends' images are located, through the phase-sized inverse
-    of the orbit table: unless each ticks, onto a run's start, and each start
+    the image is not the row's next config, and at the end of the lap.  The
+    image of every config is compared with its row's next config,
+    :data:`CHUNK` configs at a time through one reused buffer.  Unless each
+    run end steps to its row's next phase, onto a run's start, and each start
     is reached once, :class:`ontodyn.InternalCheckError` is raised.  So the
     image is a bijection that ticks, and the runs, joined in walk order, are
     its cycles.  The runs are walked in ascending order of their smallest
     states, so each cycle's first run holds the cycle's smallest state, and
-    the cycles come in ascending order of it.  The orbit table's inverse
-    places that state in its run; one gather then lists every cycle from it,
-    in :func:`ontodyn.decompose`'s order, as an :class:`ontodyn.Cycles`.
-    Each ontic-sized array is freed at its last use.
+    the cycles come in ascending order of it.  :func:`_orbit_places` places
+    that state in its run, and the cycles are listed from it, :data:`CHUNK`
+    states at a time, into one int64 array, in :func:`ontodyn.decompose`'s
+    order, as an :class:`ontodyn.Cycles`.  Besides the image, the states in
+    tick order and the listing, the one ontic-sized array is a flag per config.
     """
     image = step_tables(model)
     n, p_total = model.slow_count, model.phase_space_size
     table = _tick_orbits(model)
     lap = table.shape[1]
-    table = table.reshape(-1)
     # states[s*P + r*L + t]: slow state s on orbit r, t ticks from the orbit's start
-    states = (np.arange(n, dtype=np.int32)[:, None] * p_total + table).reshape(-1)
-    where = np.empty(p_total, dtype=np.int32)
-    where[table] = np.arange(p_total, dtype=np.int32)
+    states = (np.arange(n, dtype=np.int32)[:, None] * p_total + table.reshape(-1)).reshape(-1)
     del table
-    ends = np.append(image[states[:-1]] != states[1:], True)
-    ends[lap - 1::lap] = True
+    ends = np.empty(states.size, dtype=bool)
+    ahead = np.empty(CHUNK, dtype=np.int32)
+    for lo in range(0, states.size - 1, CHUNK):
+        hi = min(lo + CHUNK, states.size - 1)
+        # every state indexes the image, so "clip" never clips; it lets take
+        # write into ``ahead`` without a buffer of its own
+        np.take(image, states[lo:hi], out=ahead[:hi - lo], mode="clip")
+        np.not_equal(ahead[:hi - lo], states[lo + 1:hi + 1], out=ends[lo:hi])
+    ends[lap - 1::lap] = True  # the lap ends, the last config among them
     ends = np.flatnonzero(ends)
     into = image[states[ends]]
-    del image
+    del image, ahead
     starts = np.append(0, ends[:-1] + 1)
     tick = ends % lap
-    phase = where[into % p_total]
-    into = into // p_total * p_total + phase
+    # an end's row goes on at ``onward`` in its own slow state's block
+    onward = ends % p_total - tick + (tick + 1) % lap
+    phase, into = into % p_total, into // p_total * p_total + onward
     after = np.minimum(np.searchsorted(starts, into), starts.size - 1)
-    if not (np.array_equal(phase, ends % p_total - tick + (tick + 1) % lap)
+    if not (np.array_equal(phase, states[onward])
             and np.array_equal(starts[after], into)
             and np.bincount(after).max() == 1):
         raise ontodyn.InternalCheckError("the step map does not follow its clocks' tick orbits")
-    del phase, into, tick
+    del phase, into, tick, onward
 
     lows = np.minimum.reduceat(states, starts)
     walk, bounds = map(np.array, ontodyn._walk(after.tolist(), np.argsort(lows).tolist()))
     del after
     runs = np.diff(bounds, append=walk.size)  # runs per cycle
     anchors = lows[walk[bounds]]  # each cycle's smallest state, and its place in states
-    at = anchors // p_total * p_total + where[anchors % p_total]
-    del where, lows
+    at = anchors // p_total * p_total + _orbit_places(model.periods, anchors % p_total)
+    del lows
     # a cycle's pieces: its first run from the anchor on, its other runs in
     # walk order, then its first run up to the anchor
     pieces = runs + 1
@@ -507,9 +540,18 @@ def check_bijectivity(model: OntologicalModel) -> ontodyn.CycleDecomposition:
     first, last = starts[run], ends[run] + 1
     first[head] = at
     last[head + runs] = at
-    listing = states[_slices(first, last - first)].astype(np.int64)
-    del states
-    lengths = np.add.reduceat(last - first, head)
+    # piece i fills listing[begin[i]:done[i]] from states[first[i]:last[i]]
+    size = last - first
+    done = np.cumsum(size)
+    begin = done - size
+    listing = np.empty(states.size, dtype=np.int64)
+    for lo in range(0, states.size, CHUNK):
+        hi = min(lo + CHUNK, states.size)
+        i, j = np.searchsorted(done, (lo, hi), side="right")
+        cut = slice(i, j + 1)  # the pieces that meet [lo, hi)
+        copied = np.minimum(done[cut], hi) - np.maximum(begin[cut], lo)
+        listing[lo:hi] = states[np.arange(lo, hi) + np.repeat(first[cut] - begin[cut], copied)]
+    lengths = np.add.reduceat(size, head)
     return ontodyn.CycleDecomposition(cycles=ontodyn.Cycles(listing, lengths),
                                       ranks=tuple(sorted(lengths.tolist())))
 

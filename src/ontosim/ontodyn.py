@@ -27,6 +27,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 DENSE_CAP = 2 ** 14
+HASH_CHUNK = 2 ** 15  # states a Cycles hash copies at once, 256 KiB
 
 
 class MalformedLawError(ValueError):
@@ -127,7 +128,10 @@ class Cycles(abc.Sequence):
                 and np.array_equal(self.states, other.states))
 
     def __hash__(self):
-        return hash((self.lengths.tobytes(), self.states.tobytes()))
+        # slice by slice, so no copy of the whole listing is made
+        return hash(tuple(tuple(hash(array[lo:lo + HASH_CHUNK].tobytes())
+                                for lo in range(0, array.size, HASH_CHUNK))
+                          for array in (self.lengths, self.states)))
 
     def __repr__(self):
         return f"Cycles(states={self.states!r}, lengths={self.lengths!r})"

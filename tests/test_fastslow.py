@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from ontosim import cli, fastslow, ontodyn, quantize
@@ -189,7 +189,28 @@ class TestCheckBijectivity:
             tracemalloc.stop()
         assert sum(d.ranks) == states
         assert (retained - before) / states <= 10
-        assert (peak - before) / states <= 32
+        assert (peak - before) / states <= 18
+
+    def test_step_table_is_int32_and_the_law_int64(self):
+        m = two_state_model(571, 569)
+        assert fastslow.step_tables(m).dtype == np.int32
+        assert fastslow.step_map(m).image.dtype == np.int64
+
+
+class TestOrbitPlaces:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=4))
+    @example([1])
+    @example([6, 6])
+    @example([4, 6, 10])
+    @example([1, 12, 1, 8])
+    @example([40, 38, 36, 35])
+    def test_inverts_the_tick_orbit_table(self, periods):
+        model = fastslow.OntologicalModel(len(periods), tuple(periods))
+        table = fastslow._tick_orbits(model).reshape(-1)
+        places = fastslow._orbit_places(model.periods, np.arange(table.size))
+        assert places.dtype == np.int64
+        assert np.array_equal(places[table], np.arange(table.size))
 
 
 def _swapped(image: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -275,6 +296,23 @@ class TestCycleListing:
         model = self.machine()
         self.tamper(monkeypatch, model, change)
         with pytest.raises(RuntimeError, match="tick orbits"):
+            fastslow.check_bijectivity(model)
+
+    @pytest.mark.parametrize("place", [
+        fastslow.CHUNK - 1, fastslow.CHUNK, -2, -1,
+    ], ids=["chunk_end", "chunk_start", "last_compared", "last"])
+    def test_a_step_into_the_other_slow_state_is_refused_at_chunk_edges(
+            self, monkeypatch, place):
+        # one orbit per slow state, the only swap 100 ticks in; the config at
+        # ``place`` in tick order steps to the other slow state instead
+        model = two_state_model(257, 263, trigger=(100, 100))
+        p = model.phase_space_size
+        states = (np.arange(2)[:, None] * p + fastslow._tick_orbits(model)).reshape(-1)
+        assert states.size > fastslow.CHUNK + 1
+        config = int(states[place])
+        self.tamper(monkeypatch, model,
+                    lambda image, p: _retargeted(image, p, {config: 1 - config // p}))
+        with pytest.raises(ontodyn.InternalCheckError, match="tick orbits"):
             fastslow.check_bijectivity(model)
 
     def test_the_listing_follows_the_image_not_the_model(self, monkeypatch):

@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,24 @@ class TestCycles:
         assert narrow == wide and hash(narrow) == hash(wide)
         assert narrow != ontodyn.Cycles([0, 3, 1, 2, 4], [2, 3])
         assert narrow != ontodyn.Cycles([0, 3, 1, 4, 2], [3, 2])
+
+    def test_hash_copies_no_whole_listing(self):
+        # 649 798 states, the listing of a two_state_model(571, 569) proof:
+        # 5 MB as bytes, hashed a slice at a time
+        states = np.roll(np.arange(649_798), 1)
+        cycles = ontodyn.Cycles(states, [states.size])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            digest = hash(cycles)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert digest == hash(ontodyn.Cycles(states.copy(), [states.size]))
+        changed = states.copy()
+        changed[[0, -1]] = changed[[-1, 0]]
+        assert digest != hash(ontodyn.Cycles(changed, [states.size]))
 
     def test_not_equal_to_a_tuple_literal(self):
         cycles = self.listing()
