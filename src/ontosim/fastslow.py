@@ -33,20 +33,25 @@ sample jumps straight to its next state change, found on the diagonal orbits
 of each coupled pair's clocks (:func:`_orbit_position`), and the counts are
 summed from those changes.  Their cost grows with the number of state
 changes, not with the horizon.  The two algorithms are kept apart on
-purpose, so comparing them is a real check.
+purpose, so comparing them is a real check.  That coordinate of the clocks'
+diagonal orbits, the orbit d = (x - y) mod gcd(P_a, P_b) of joint phases
+(x, y) and the position along it by the CRT, is the only one: the
+reversibility proof folds it over all the clocks (:func:`_orbit_places`),
+and ``quantize._spread_points`` inverts it.
 
 The step's cycles (:func:`check_bijectivity`) are not walked config by
 config either.  The tick moves every phase along its tick orbit, of length
-L = lcm(periods) (:func:`_tick_orbits`), and a swap changes only the slow
-state, so each (slow state, orbit) row, in tick order, splits into runs
-that end where the step image is not the row's next config, or the lap
-ends.  The runs are read from the image, not predicted: only where each run
-ends is the step located and checked (it ticks, onto a run's start, each
-start once), and only the permutation of runs is walked, in ascending order
-of the runs' smallest states, so the cycles arrive each with its smallest
-state in its first run, in ascending order of those states.  They come out
-as one int64 listing (:class:`ontodyn.Cycles`), filled a chunk at a time
-from the tick-ordered states, never as a Python object per state.
+L = lcm(periods), laid out in that coordinate (:func:`_tick_orbits`), and a
+swap changes only the slow state, so each (slow state, orbit) row, in tick
+order, splits into runs that end where the step image is not the row's next
+config, or the lap ends.  The runs are read from the image, not predicted:
+only where each run ends is the step located and checked (it ticks, onto a
+run's start, each start once), and only the permutation of runs is walked,
+in ascending order of the runs' smallest states, so the cycles arrive each
+with its smallest state in its first run, in ascending order of those
+states.  They come out as one int64 listing (:class:`ontodyn.Cycles`),
+filled a chunk at a time from the tick-ordered states, never as a Python
+object per state.
 
 Clock periods are meant to be large compared with the inverse couplings of
 interest; that is a soft convention, so the builder only warns (never
@@ -67,8 +72,8 @@ import numpy as np
 from . import ontodyn
 
 ENUMERATION_CAP = 10 ** 6
-# A coupled pair's orbit keys reach 2 * P_a * P_b (:func:`_orbit_position`),
-# which stays below 2**63 for periods up to this.
+# A coupled pair's orbit keys d*2L + tau (:func:`_orbit_position`, L =
+# lcm(P_a, P_b)) reach 2 * P_a * P_b, which stays below 2**63 for periods up to this.
 PERIOD_CAP = 2 ** 31 - 1
 INT64_MAX = 2 ** 63 - 1  # the largest clock period a model holds
 CHUNK = 2 ** 16  # configs a reversibility proof compares or lists per pass
@@ -318,20 +323,36 @@ def flat_config(model: OntologicalModel, slow: int, phases) -> int:
     return int(slow) * model.phase_space_size + int(np.dot(np.asarray(phases, np.int64), strides))
 
 
-def _all_phase_rows(model: OntologicalModel) -> np.ndarray:
-    """(P, n_clocks) array of every phase combination, in flat-index order."""
-    p = model.phase_space_size
-    rows = np.empty((p, len(model.periods)), dtype=np.int64)
-    rem = np.arange(p, dtype=np.int64)
-    for i, stride in enumerate(phase_strides(model.periods)):
+def _phase_rows(periods: tuple[int, ...], flats: np.ndarray) -> np.ndarray:
+    """(len(flats), n_clocks) int64 array: the clock phases of each phase flat."""
+    rows = np.empty((len(flats), len(periods)), dtype=np.int64)
+    rem = np.asarray(flats, dtype=np.int64)
+    for i, stride in enumerate(phase_strides(periods)):
         rows[:, i], rem = np.divmod(rem, stride)
     return rows
+
+
+def _orbit_position(period_a: int, period_b: int, x: np.ndarray,
+                    y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit and position of the joint phases (x, y) of two clocks.
+
+    With g = gcd(P_a, P_b) and L = lcm(P_a, P_b), (x, y) lies on the
+    diagonal orbit d = (x - y) mod g at the position tau in [0, L) with
+    tau = x (mod P_a) and tau = y + d (mod P_b), found by the CRT.  A tick
+    keeps d and adds 1 to tau mod L.  Returns ``(d, tau)``.
+    """
+    g = math.gcd(period_a, period_b)
+    d = (x - y) % g
+    k = (y + d - x) // g * pow(period_a // g, -1, period_b // g) % (period_b // g)
+    return d, x + period_a * k
 
 
 # ---------------------------------------------------------------------------
 # stepping
 
 def _check_config(model: OntologicalModel, config: ClassicalConfig) -> None:
+    if not (ontodyn._is_integer(config.slow) and all(map(ontodyn._is_integer, config.phases))):
+        raise ConfigError(f"slow state and phases must be integers, not {ontodyn.shown(config)}")
     if not 0 <= config.slow < model.slow_count:
         raise ConfigError(f"unknown slow state {config.slow}")
     if len(config.phases) != len(model.periods):
@@ -350,17 +371,16 @@ def _pair_triggers(model: OntologicalModel) -> dict[tuple[int, int], np.ndarray]
             for group in np.split(rows, cuts) if len(group)}
 
 
-def _firing_flats(model: OntologicalModel, pair: tuple[int, int], triggers: np.ndarray,
-                  ticks: int = 0) -> np.ndarray:
-    """Flat phase indices at which a point of ``pair`` fires ``ticks`` ticks later.
-
-    The firing set: clocks a and b sit at ``trigger - ticks`` and every other
-    clock is free.  The cost is the number of indices returned.
+def _firing_flats(model: OntologicalModel, pair: tuple[int, int],
+                  triggers: np.ndarray) -> np.ndarray:
+    """Flat phase indices at which clocks a and b of ``pair`` read ``triggers``
+    modulo their periods, every other clock free: the pair's own triggers give
+    its firing set.  The cost is the number of indices returned.
     """
     strides = phase_strides(model.periods)
     periods = np.asarray(model.periods, dtype=np.int64)
     on = list(pair)
-    flats = ((triggers - ticks) % periods[on]) @ strides[on]
+    flats = (triggers % periods[on]) @ strides[on]
     for i, period in enumerate(model.periods):
         if i not in pair:
             flats = (flats[:, None] + np.arange(period, dtype=np.int64) * strides[i]).reshape(-1)
@@ -409,7 +429,7 @@ def step_tables(model: OntologicalModel) -> np.ndarray:
             ticked = np.arange(1, period + 1, dtype=np.int32) % period * int(stride)
             image = (image[:, None] + ticked).reshape(-1)
     for (a, b), triggers in _pair_triggers(model).items():
-        fired = _firing_flats(model, (a, b), triggers, ticks=1)
+        fired = _firing_flats(model, (a, b), triggers - 1)
         on_a, on_b = a * p_total + fired, b * p_total + fired
         image[on_a], image[on_b] = image[on_b], image[on_a]
     return image
@@ -423,12 +443,11 @@ def step_map(model: OntologicalModel) -> ontodyn.PermutationLaw:
 def _tick_orbits(model: OntologicalModel) -> np.ndarray:
     """The phase space as a (P/L, L) int32 table of phase flats in tick order.
 
-    Row r is one tick orbit, of length L = lcm(periods), from its smallest
-    flat on.  Those smallest flats are the grid {0} x [0, g_1) x ... x
-    [0, g_{n-1}) with g_i = gcd(lcm(P_0..P_{i-1}), P_i): clock 0 reaches 0 on
-    every orbit, and while clocks 0..i-1 are held, clock i moves in steps of
-    g_i.  The grid has P/L points, one per orbit, and the rows list them in
-    ascending order.  :func:`_orbit_places` inverts the table.
+    Row r is one tick orbit, of length L = lcm(periods), in the coordinate of
+    :func:`_orbit_position`: its digit i, in the mixed radix g_i =
+    gcd(lcm(P_0..P_{i-1}), P_i), is clock i's orbit d_i against clocks 0..i-1
+    ticking as one, and at tick t clock 0 reads t mod P_0 and clock i reads
+    (t - d_i) mod P_i.  :func:`_orbit_places` inverts the table.
     """
     gaps, lap = [], 1
     for period in model.periods:
@@ -436,40 +455,29 @@ def _tick_orbits(model: OntologicalModel) -> np.ndarray:
         lap = math.lcm(lap, period)
     table = None
     for period, stride, gap in zip(model.periods, phase_strides(model.periods), gaps):
-        if period == 1:  # a period-1 clock never moves
-            continue
-        # row d of the window is clock phase (d + t) mod period at tick t, for d < gap
+        # row d of the window is clock phase (t - d) mod period at tick t, for d < gap
         ticked = np.tile(np.arange(period, dtype=np.int32) * int(stride), lap // period + 1)
-        window = np.lib.stride_tricks.sliding_window_view(ticked, lap)[:gap]
-        # the first clock that moves has gap 1: its window is the table so far
+        window = np.lib.stride_tricks.sliding_window_view(ticked, lap)[period:period - gap:-1]
+        # clock 0 has gap 1: its window is the table so far
         table = window if table is None else (table[:, None, :] + window).reshape(-1, lap)
-    return np.zeros((1, 1), dtype=np.int32) if table is None else table
+    return table
 
 
-def _orbit_places(periods: tuple[int, ...], flats: np.ndarray) -> np.ndarray:
-    """Where each phase flat lies in :func:`_tick_orbits`' table, read flat:
-    r*L + t for row r and tick t, as int64.
+def _orbit_places(periods: tuple[int, ...], phases: np.ndarray) -> np.ndarray:
+    """Where each row of clock phases lies in :func:`_tick_orbits`' table,
+    read flat: r*L + t for row r and tick t, as int64.
 
-    Solved clock by clock on the table's grid, by the CRT.  Clock 0's phase
-    is the tick.  With clocks 0..i-1 placed, the tick is known modulo their
-    lap L_i = lcm(P_0..P_{i-1}); clock i's phase x then names its grid offset
-    d = (x - t) mod g_i and the tick modulo lcm(L_i, P_i), t + L_i*k with
-    L_i*k = x - d - t (mod P_i), as in :func:`_orbit_position`.  The offsets
-    are the row's digits.
+    A fold of :func:`_orbit_position` over the clocks.  Clock 0's phase is
+    the tick.  Clocks 0..i-1 tick as one clock of period lap =
+    lcm(P_0..P_{i-1}), whose phase is the tick so far; paired with clock i,
+    their orbit is the row's next digit, and their position the tick modulo
+    lcm(lap, P_i).
     """
-    flats = np.asarray(flats, dtype=np.int64)
-    strides = phase_strides(periods)
-    tick, row, lap = flats // strides[0], 0, periods[0]
-    for period, stride in zip(periods[1:], strides[1:]):
-        if period == 1:  # a period-1 clock never moves
-            continue
-        gap = math.gcd(lap, period)
-        behind = flats // stride % period - tick  # x - t
-        offset = behind % gap
-        tick = tick + lap * ((behind - offset) // gap * pow(lap // gap, -1, period // gap)
-                             % (period // gap))
-        row = row * gap + offset
-        lap = lap // gap * period
+    tick, row, lap = phases[:, 0], 0, periods[0]
+    for period, phase in zip(periods[1:], phases[:, 1:].T):
+        orbit, tick = _orbit_position(lap, period, tick, phase)
+        row = row * math.gcd(lap, period) + orbit
+        lap = math.lcm(lap, period)
     return row * lap + tick
 
 
@@ -529,7 +537,8 @@ def check_bijectivity(model: OntologicalModel) -> ontodyn.CycleDecomposition:
     del after
     runs = np.diff(bounds, append=walk.size)  # runs per cycle
     anchors = lows[walk[bounds]]  # each cycle's smallest state, and its place in states
-    at = anchors // p_total * p_total + _orbit_places(model.periods, anchors % p_total)
+    at = anchors // p_total * p_total + _orbit_places(
+        model.periods, _phase_rows(model.periods, anchors % p_total))
     del lows
     # a cycle's pieces: its first run from the anchor on, its other runs in
     # walk order, then its first run up to the anchor
@@ -580,8 +589,9 @@ def run_ensemble(model: OntologicalModel, initial_slow: int, horizon: int,
     the (horizon+1, N) result.  Both are capped at :data:`ENUMERATION_CAP`
     (SizeCapError, raised before anything is allocated).
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
+    if not ontodyn._is_integer(sample_count) or sample_count < 1:
+        raise ValueError(
+            f"sample_count must be an integer >= 1, not {ontodyn.shown(sample_count)}")
     _check_run(model, initial_slow, horizon, "samples", sample_count)
     phases = random_phases(model, sample_count, ontodyn.philox_rng(seed))
     return _occupation_counts(model, initial_slow, horizon, phases) / sample_count
@@ -589,12 +599,13 @@ def run_ensemble(model: OntologicalModel, initial_slow: int, horizon: int,
 
 def _check_run(model: OntologicalModel, initial_slow: int, horizon: int,
                what: str, rows: int) -> None:
-    """Refuse an occupation count before it allocates anything: more than
+    """Refuse an occupation count before it allocates anything: a horizon or
+    slow state that is not an integer in range, more than
     :data:`ENUMERATION_CAP` rows (samples or phase combinations) or entries of
     the (horizon+1, N) table, or a clock period beyond :data:`PERIOD_CAP`."""
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    if not 0 <= initial_slow < model.slow_count:
+    if not ontodyn._is_integer(horizon) or horizon < 0:
+        raise ValueError(f"horizon must be an integer >= 0, not {ontodyn.shown(horizon)}")
+    if not ontodyn._is_integer(initial_slow) or not 0 <= initial_slow < model.slow_count:
         raise ConfigError(f"unknown slow state {ontodyn.shown(initial_slow)}")
     check_enumerable(what, rows)
     if (horizon + 1) * model.slow_count > ENUMERATION_CAP:
@@ -605,21 +616,6 @@ def _check_run(model: OntologicalModel, initial_slow: int, horizon: int,
         raise ontodyn.SizeCapError(
             f"clock period {ontodyn.shown(max(model.periods))} exceeds {PERIOD_CAP}, "
             "the largest whose orbit keys fit int64")
-
-
-def _orbit_position(period_a: int, period_b: int, x: np.ndarray,
-                    y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orbit and position of the joint phases (x, y) of a coupled pair.
-
-    With g = gcd(P_a, P_b) and L = lcm(P_a, P_b), (x, y) lies on the
-    diagonal orbit d = (x - y) mod g at the position tau in [0, L) with
-    tau = x (mod P_a) and tau = y + d (mod P_b), found by the CRT.  A tick
-    keeps d and adds 1 to tau mod L.  Returns ``(d*2L, tau)``.
-    """
-    g = math.gcd(period_a, period_b)
-    d = (x - y) % g
-    k = (y + d - x) // g * pow(period_a // g, -1, period_b // g) % (period_b // g)
-    return d * (2 * math.lcm(period_a, period_b)), x + period_a * k
 
 
 def _occupation_counts(model: OntologicalModel, initial_slow: int, horizon: int,
@@ -647,9 +643,11 @@ def _occupation_counts(model: OntologicalModel, initial_slow: int, horizon: int,
         # Every point's key d*2L + tau and that key plus L, then a sentinel:
         # the first entry above a row's key is its next firing on this pair,
         # at most L ticks ahead, or more than L ahead if no point shares its orbit.
-        keys = np.add(*_orbit_position(pa, pb, points[:, 0], points[:, 1]))
+        orbit, tau = _orbit_position(pa, pb, points[:, 0], points[:, 1])
+        keys = orbit * (2 * lcm) + tau
         keys = np.sort(np.concatenate([keys, keys + lcm, [np.iinfo(np.int64).max]]))
-        base, tau = _orbit_position(pa, pb, phases[:, a], phases[:, b])
+        orbit, tau = _orbit_position(pa, pb, phases[:, a], phases[:, b])
+        base = orbit * (2 * lcm)
         touches = np.zeros(n, dtype=bool)
         touches[[a, b]] = True
         partner = np.arange(n)
@@ -708,7 +706,8 @@ def enumerate_exact(model: OntologicalModel, initial_slow: int, horizon: int) ->
     :data:`ENUMERATION_CAP` rows and entries.
     """
     _check_run(model, initial_slow, horizon, "phase space", model.phase_space_size)
-    counts = _occupation_counts(model, initial_slow, horizon, _all_phase_rows(model))
+    rows = _phase_rows(model.periods, np.arange(model.phase_space_size))
+    counts = _occupation_counts(model, initial_slow, horizon, rows)
     return ExactOccupation(counts=counts, total=model.phase_space_size)
 
 

@@ -245,6 +245,8 @@ def evolve_basis_state(law: PermutationLaw, k: int, t: int) -> int:
     A basis state stays a basis state for every t: the unitary representation
     never turns a single ontic state into a superposition.
     """
+    if not (_is_integer(k) and _is_integer(t)):
+        raise ValueError(f"state k and time t must be integers, not {shown((k, t))}")
     if not 0 <= k < law.size:
         raise ValueError(f"state {k} outside [0, {law.size})")
     orbit, _ = _walk(law.image, [k])
@@ -253,6 +255,8 @@ def evolve_basis_state(law: PermutationLaw, k: int, t: int) -> int:
 
 def law_power(law: PermutationLaw, t: int) -> PermutationLaw:
     """The law applied t times, as a law (exact integer composition)."""
+    if not _is_integer(t):
+        raise ValueError(f"power t must be an integer, not {shown(t)}")
     cycles = decompose(law).cycles
     lengths = cycles.lengths.tolist()
     first = np.repeat(cycles._starts, lengths)

@@ -228,11 +228,12 @@ def ground_project(model: fastslow.OntologicalModel) -> EffectiveHamiltonian:
     The result is the exact rational table, ``-1j * (pi/2) * points/(Pa*Pb)``
     on each coupled pair a < b.  Within :data:`INTERCHANGE_CAP` it is checked
     against :func:`build_interchange`'s matrix, whose ground projection is
-    the sum of each slow block's entries over P = :attr:`phase_space_size`:
-    every entry must be -1j*pi/2 above the diagonal and +1j*pi/2 below it,
-    and each block (a, b) must hold exactly points*P/(Pa*Pb) entries, an
-    integer.  Any other matrix raises ProjectionMismatchError.  Above the cap
-    no matrix is built.
+    the sum of each slow block's entries over
+    P = :attr:`fastslow.OntologicalModel.phase_space_size`: every entry must
+    be -1j*pi/2 above the diagonal and +1j*pi/2 below it, and each block
+    (a, b) must hold exactly points*P/(Pa*Pb) entries, an integer.  Any
+    other matrix raises ProjectionMismatchError.  Above the cap no matrix is
+    built.
     """
     n = model.slow_count
     couplings = _pair_counts(model)
@@ -319,15 +320,17 @@ def compare_dynamics(model: fastslow.OntologicalModel, initial_slow: int, horizo
     state by :func:`koopman_step_operator` and reads it in the ontic basis;
     ``effective`` evolves the slow state under :func:`ground_project`'s
     matrix.  With ``sample_count`` > 0 a seeded :func:`fastslow.run_ensemble`
-    rides along.  Each size cap is refused before anything is allocated: the
-    ontic space first, then the occupation table, then the samples.
+    rides along.  A horizon or slow state that is not an integer in range is
+    refused first, then each size cap before anything is allocated: the ontic
+    space, then the occupation table, then the samples.
     """
+    fastslow._check_run(model, initial_slow, horizon, "ontic space", model.ontic_space_size)
+    ensemble = (fastslow.run_ensemble(model, initial_slow, horizon, sample_count, seed)
+                if sample_count > 0 else None)
     n = model.slow_count
     p_total = model.phase_space_size
     perm, sign = koopman_step_operator(model)
     classical = fastslow.enumerate_exact(model, initial_slow, horizon).fractions
-    ensemble = (fastslow.run_ensemble(model, initial_slow, horizon, sample_count, seed)
-                if sample_count > 0 else None)
 
     # |initial_slow> with every clock in its uniform ground state: real, and
     # the step is a real signed permutation, so psi stays real throughout
@@ -463,9 +466,9 @@ def _approximate_coupling(pair: tuple[int, int], mag: float, tolerance: float,
 
 
 def _spread_points(period_a: int, period_b: int, count: int) -> np.ndarray:
-    """count distinct trigger cells of a pair, (count, 2) int64: the cells d*L + tau
-    (diagonal orbit d, position tau, L = lcm(Pa, Pb): :func:`fastslow._orbit_position`)
-    at k*Pa*Pb // count, each the cell (tau mod Pa, (tau - d) mod Pb).  Each orbit gets
+    """count distinct trigger cells of a pair, (count, 2) int64: inverting
+    :func:`fastslow._orbit_position`, point k sits at d*L + tau = k*Pa*Pb // count
+    (L = lcm(Pa, Pb)), the cell (tau mod Pa, (tau - d) mod Pb).  Each orbit gets
     floor or ceil of count/gcd(Pa, Pb), consecutive ones Pa*Pb // count or one more apart."""
     orbit, tau = np.divmod(np.arange(count, dtype=np.int64) * (period_a * period_b) // count,
                            math.lcm(period_a, period_b))

@@ -149,6 +149,21 @@ class TestStep:
         with pytest.raises(fastslow.ConfigError):
             fastslow.step(m, fastslow.ClassicalConfig(slow=0, phases=(0,)))
 
+    @pytest.mark.parametrize("config", [
+        fastslow.ClassicalConfig(0.5, (1.5, 2)),
+        fastslow.ClassicalConfig(True, (1, 2)),
+        fastslow.ClassicalConfig(0, (1, 2.0)),
+    ], ids=["float_state_and_phase", "bool_state", "float_phase"])
+    def test_a_config_of_non_integers_is_refused(self, config):
+        # once coerced: the first stepped as (0, (1, 2)), the second as state 1
+        with pytest.raises(fastslow.ConfigError, match="must be integers"):
+            fastslow.step(two_state_model(10, 7), config)
+
+    def test_numpy_integers_step_as_ints(self):
+        m = two_state_model(10, 7)
+        config = fastslow.ClassicalConfig(np.int64(1), (np.int32(9), np.int64(6)))
+        assert fastslow.step(m, config) == fastslow.step(m, fastslow.ClassicalConfig(1, (9, 6)))
+
 
 class TestCheckBijectivity:
     def test_free_single_state(self):
@@ -208,7 +223,8 @@ class TestOrbitPlaces:
     def test_inverts_the_tick_orbit_table(self, periods):
         model = fastslow.OntologicalModel(len(periods), tuple(periods))
         table = fastslow._tick_orbits(model).reshape(-1)
-        places = fastslow._orbit_places(model.periods, np.arange(table.size))
+        places = fastslow._orbit_places(
+            model.periods, fastslow._phase_rows(model.periods, np.arange(table.size)))
         assert places.dtype == np.int64
         assert np.array_equal(places[table], np.arange(table.size))
 
@@ -501,6 +517,25 @@ class TestInputChecks:
     def test_run_caps(self, sample_count, horizon):
         with pytest.raises(ontodyn.SizeCapError, match="exceeds enumeration cap"):
             fastslow.run_ensemble(two_state_model(11, 13), 0, horizon, sample_count, seed=1)
+
+    @pytest.mark.parametrize("initial,horizon,samples,error", [
+        (True, 5, 10, "unknown slow state True"),
+        (0.0, 5, 10, "unknown slow state 0.0"),
+        (0, 5.0, 10, "horizon must be an integer >= 0, not 5.0"),
+        (0, True, 10, "horizon must be an integer >= 0, not True"),
+        (0, 5, 10.0, "sample_count must be an integer >= 1, not 10.0"),
+        (0, 5, True, "sample_count must be an integer >= 1, not True"),
+    ])
+    def test_run_arguments_that_are_not_integers_are_refused(
+            self, initial, horizon, samples, error):
+        m = two_state_model(10, 7)
+        kind = fastslow.ConfigError if "slow state" in error else ValueError
+        with pytest.raises(kind, match=f"^{error}$") as refused:
+            fastslow.run_ensemble(m, initial, horizon, samples, seed=1)
+        assert refused.type is kind
+        if "sample_count" not in error:  # enumerate_exact takes no sample count
+            with pytest.raises(kind, match=f"^{error}$"):
+                fastslow.enumerate_exact(m, initial, horizon)
 
     def test_table_cap_of_the_exact_count(self):
         with pytest.raises(ontodyn.SizeCapError, match="occupation table"):

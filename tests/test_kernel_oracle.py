@@ -36,7 +36,7 @@ def reference_counts(model, slow: np.ndarray, phases: np.ndarray,
 
 def check_against_reference(model: fastslow.OntologicalModel, seed: int) -> None:
     n, p_total = model.slow_count, model.phase_space_size
-    rows = fastslow._all_phase_rows(model)
+    rows = fastslow._phase_rows(model.periods, np.arange(model.phase_space_size))
 
     slow, phases = reference_step(model, np.repeat(np.arange(n), p_total),
                                   np.tile(rows, (n, 1)))
@@ -54,7 +54,7 @@ def check_against_reference(model: fastslow.OntologicalModel, seed: int) -> None
 def check_counts(model: fastslow.OntologicalModel, seed: int, horizon: int) -> None:
     """``enumerate_exact`` and ``run_ensemble`` against the reference."""
     initial = seed % model.slow_count
-    rows = fastslow._all_phase_rows(model)
+    rows = fastslow._phase_rows(model.periods, np.arange(model.phase_space_size))
     exact = fastslow.enumerate_exact(model, initial, horizon)
     assert np.array_equal(
         exact.counts, reference_counts(model, np.full(len(rows), initial), rows, horizon))

@@ -201,6 +201,22 @@ class TestEvolveBasisState:
     def test_negative_time_uses_inverse(self):
         assert ontodyn.evolve_basis_state(law([1, 2, 0]), 0, -1) == 2
 
+    @pytest.mark.parametrize("k,t", [(3.0, 2), (1, 2.0), (True, 2), (np.int64(1), True)])
+    def test_non_integer_state_or_time_is_refused(self, k, t):
+        with pytest.raises(ValueError, match="state k and time t must be integers"):
+            ontodyn.evolve_basis_state(law([1, 2, 0, 4, 3]), k, t)
+
+    def test_numpy_integers_are_accepted(self):
+        lw = law([1, 2, 0, 4, 3])
+        assert ontodyn.evolve_basis_state(lw, np.int64(3), np.int32(3)) == 4
+        assert np.array_equal(ontodyn.law_power(lw, np.int64(2)).image,
+                              ontodyn.law_power(lw, 2).image)
+
+    @pytest.mark.parametrize("t", [2.5, 2.0, True])
+    def test_non_integer_power_is_refused(self, t):
+        with pytest.raises(ValueError, match="power t must be an integer"):
+            ontodyn.law_power(law([1, 2, 0]), t)
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(n))), st.data(),
            st.one_of(st.integers(-40, 40), st.integers(-2 ** 80, 2 ** 80)))

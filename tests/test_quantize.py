@@ -105,7 +105,7 @@ class TestHamiltonians:
 def brute_force_interchange(model) -> list:
     """Sorted (row, col, value) entries of the interchange Hamiltonian, built
     point by point from every phase row that matches the point's trigger."""
-    rows = fastslow._all_phase_rows(model)
+    rows = fastslow._phase_rows(model.periods, np.arange(model.phase_space_size))
     p_total = model.phase_space_size
     w = quantize.INTERCHANGE_WEIGHT
     entries = []
@@ -674,12 +674,10 @@ class TestSpreadPoints:
         assert cells.shape == (count, 2) and cells.dtype == np.int64
         assert np.all((0 <= x) & (x < pa) & (0 <= y) & (y < pb))
         assert np.unique(x * pb + y).size == count
-        per_orbit = np.bincount((x - y) % g, minlength=g)
-        assert per_orbit.max() - per_orbit.min() <= 1
+        # the exact inverse: cell k sits on orbit d at tau with d*L + tau =
+        # k*Pa*Pb // count, so each orbit gets an even share, evenly spaced
         orbits, positions = fastslow._orbit_position(pa, pb, x, y)
-        for orbit in np.unique(orbits):
-            gaps = np.diff(np.sort(positions[orbits == orbit]))
-            assert gaps.size == 0 or gaps.max() - gaps.min() <= 1
+        assert np.array_equal(orbits * joint + positions, np.arange(count) * pa * pb // count)
         if g == 1:  # the cells of the joint-cycle rule, ts = k*L // count
             ts = np.arange(count) * joint // count
             assert np.array_equal(cells, np.column_stack((ts % pa, ts % pb)))
@@ -805,6 +803,22 @@ def test_compare_checks_the_ontic_cap_first(monkeypatch):
     monkeypatch.setattr(fastslow, "enumerate_exact", no_enumeration)
     with pytest.raises(ontodyn.SizeCapError, match="ontic space 1998000"):
         quantize.compare_dynamics(two_state_model(1000, 999), 0, 5)
+
+
+@pytest.mark.parametrize("initial,horizon,samples,error", [
+    (1, True, 0, "horizon must be an integer >= 0, not True"),
+    (0, 2.0, 0, "horizon must be an integer >= 0, not 2.0"),
+    (0.0, 2, 0, "unknown slow state 0.0"),
+    (0, 2, 2.5, "sample_count must be an integer >= 1, not 2.5"),
+])
+def test_compare_refuses_non_integer_arguments_before_the_step_table(
+        monkeypatch, initial, horizon, samples, error):
+    def no_step_table(*args):
+        raise AssertionError("the step table was built before the arguments were checked")
+
+    monkeypatch.setattr(fastslow, "step_tables", no_step_table)
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        quantize.compare_dynamics(two_state_model(10, 7), initial, horizon, samples)
 
 
 def test_max_period_cap():
