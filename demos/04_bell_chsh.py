@@ -25,7 +25,7 @@ def main():
     print(f"deterministic threshold model S = {sawtooth.score:.6f} "
           "(saturates the factorized bound 2)")
 
-    # The correlated three-variable model: quadrature against the closed form.
+    # The correlated three-variable model: its arch sum against cos 2(a-b).
     print("\n |a-b| deg   E_correlated     cos 2(a-b)")
     for offset_deg in (0.0, 22.5, 45.0, 67.5):
         x = math.radians(offset_deg)

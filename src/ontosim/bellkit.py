@@ -19,9 +19,12 @@ assumed: substituting mu = lambda - (a+b)/2 reduces the expectation to
     E(a, b) = int |sin 2 mu'| sgn(cos(mu'-d)) sgn(cos(mu'+d)) dmu' / 2
             = -cos(pi - 2|a - b|) = cos 2(a - b)
 
-exactly, and the quadrature here must reproduce that closed form.  The CHSH
-combination of this model therefore reaches 2*sqrt(2) even though each
-marginal is featureless.
+exactly.  Between the density's zeros and the outcomes' flips the integrand
+is one sign times C sin(2(a+b) - 4 lambda), so E, the marginals and C are sums
+of closed-form arches (``_arches``), equal to that closed form up to rounding;
+the panel quadrature ``_integrate`` integrates the factorized models and is
+the arch sums' test oracle.  The CHSH combination of this model therefore
+reaches 2*sqrt(2) even though each marginal is featureless.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ CLASSICAL_BOUND = 2.0
 QUANTUM_MAX = 2.0 * math.sqrt(2.0)
 # (a, a', b, b') in radians: 0, 45, 22.5 and 67.5 degrees.
 STANDARD_SETTINGS = (0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)
-# Work caps: a correlation grid costs one quadrature per cell (grid_size**2
+# Work caps: a correlation grid costs one arch sum per cell (grid_size**2
 # cells), a sample about a hundred bytes while drawn and one CSV row.
 GRID_CAP = 256
 SAMPLE_CAP = 10 ** 6
@@ -50,7 +53,9 @@ class NonNormalizedDensityError(ValueError):
 
 class QuadratureError(ValueError):
     """No estimate within tolerance in 200 panels: a non-finite integrand, or
-    a jump or oscillation the declared kinks do not resolve."""
+    a jump or oscillation the declared kinks do not resolve.  Also raised for
+    a setting of the correlated model that is not finite, which no integral
+    of it can take."""
 
 
 def normalize_angle(x):
@@ -89,7 +94,8 @@ def _zeros(phase: float, spacing: float, end: float = math.pi) -> list[float]:
 
 
 def _integrate(f: Callable, kinks: Sequence[float], end: float = math.pi) -> float:
-    """Integral of ``f`` over [0, end) by adaptive Gauss-Legendre panels.
+    """Integral of ``f`` over [0, end) by adaptive Gauss-Legendre panels: the
+    factorized models' route, whose callables have no closed form.
 
     [0, end) is cut into 4 equal panels and at the kinks inside it.  Each
     round calls ``f`` once on the 24- and 48-node points of all open panels;
@@ -252,32 +258,67 @@ def conditional_density(lam, a, b):
     return NORMALIZATION * np.abs(np.sin(2.0 * (a + b - 2.0 * np.asarray(lam))))
 
 
-def correlated_expectation(a: float, b: float) -> float:
-    """E(a, b) of the correlated three-variable model by kink-aware quadrature.
+def _arches(theta: float, rate: float, kinks: Sequence[float], end: float = math.pi,
+            agree: Callable[[float], bool] | None = None) -> float:
+    """Integral over [0, end) of |sin(theta - rate * x)|, or of its product
+    with +1 where ``agree(x)`` holds and -1 where it does not, in closed form.
 
-    This must equal cos 2(a - b) to quadrature accuracy (the module docstring
-    carries the closed-form reduction).
+    ``kinks`` must hold every zero of the sine and every change of ``agree``
+    in [0, end).  Between consecutive edges {0, end, kinks} the integrand is
+    one sign times the sine, read at the panel's midpoint, so each panel adds
+    that sign times (cos(theta - rate * hi) - cos(theta - rate * lo)) / rate.
     """
+    edges = sorted({0.0, end, *kinks})
+    cosines = [math.cos(theta - rate * x) for x in edges]
+    total = 0.0
+    for k in range(len(edges) - 1):
+        mid = (edges[k] + edges[k + 1]) / 2.0
+        sign = math.copysign(1.0, math.sin(theta - rate * mid))
+        if agree is not None and not agree(mid):
+            sign = -sign
+        total += sign * (cosines[k + 1] - cosines[k])
+    return total / rate
+
+
+def _check_finite(**settings: float) -> None:
+    for name, value in settings.items():
+        if not math.isfinite(value):
+            raise QuadratureError(f"setting {name} = {shown(value)} is not finite")
+
+
+def correlated_expectation(a: float, b: float) -> float:
+    """E(a, b) of the correlated three-variable model as a sum of arches.
+
+    The density times both outcome signs is +-C sin(2(a+b) - 4 lambda)
+    between the density's zeros and the outcomes' flips, so ``_arches``
+    integrates it exactly; the result equals cos 2(a - b) to rounding (the
+    module docstring carries the reduction).  Raises QuadratureError for a
+    setting that is not finite.
+    """
+    _check_finite(a=a, b=b)
     kinks = (_zeros((a + b) / 2.0, math.pi / 4) + _zeros(a + math.pi / 4, math.pi / 2)
              + _zeros(b + math.pi / 4, math.pi / 2))
 
-    def integrand(lam):
-        # the product of the two outcome signs is +1 where they agree; a sign
-        # flip is exact, so this is the density times both signs to the bit
-        density = conditional_density(lam, a, b)
-        return np.where(_outcomes_agree(a, b, lam), density, -density)
+    def agree(lam):  # _outcomes_agree at one point, without numpy's per-call dispatch
+        return (math.cos(2.0 * (lam - a)) >= 0.0) == (math.cos(2.0 * (lam - b)) >= 0.0)
 
-    return _integrate(integrand, kinks)
+    return NORMALIZATION * _arches(2.0 * (a + b), 4.0, kinks, agree=agree)
 
 
 def _marginal(which: str, u: float, v: float) -> float:
     """The joint density integrated over ``which`` at fixed values of the other two:
     the settings (u, v), or the other setting u and lambda v."""
+    _check_finite(u=u, v=v)
     if which == "lambda":
-        return _integrate(lambda lam: conditional_density(lam, u, v),
-                          _zeros((u + v) / 2.0, math.pi / 4))
-    # the density is symmetric in the settings, so "a" and "b" share one integrand
-    return _integrate(lambda x: conditional_density(v, x, u), _zeros(2.0 * v - u, math.pi / 2))
+        return NORMALIZATION * _arches(2.0 * (u + v), 4.0, _zeros((u + v) / 2.0, math.pi / 4))
+    # the density is symmetric in the settings, so "a" and "b" share one
+    # integral: |sin 2(x + u - 2v)| = |sin(4v - 2u - 2x)|
+    return NORMALIZATION * _arches(4.0 * v - 2.0 * u, 2.0, _zeros(2.0 * v - u, math.pi / 2))
+
+
+def _check_grid(grid_size: int) -> None:
+    if grid_size < 1:
+        raise ValueError(f"grid_size must be >= 1, not {shown(grid_size)}")
 
 
 def marginal_flatness(which: str, grid_size: int = 17) -> float:
@@ -289,8 +330,9 @@ def marginal_flatness(which: str, grid_size: int = 17) -> float:
     """
     if which not in ("lambda", "a", "b"):
         raise ValueError("which must be one of 'lambda', 'a', 'b'")
-    grid = np.linspace(0.0, math.pi, grid_size, endpoint=False)
-    return max((abs(_marginal(which, u, v) - 1.0) for u in grid for v in grid), default=0.0)
+    _check_grid(grid_size)
+    grid = np.linspace(0.0, math.pi, grid_size, endpoint=False).tolist()
+    return max(abs(_marginal(which, u, v) - 1.0) for u in grid for v in grid)
 
 
 def normalization_constant(domain_end: float = math.pi, a: float = 0.3, b: float = 1.1) -> float:
@@ -299,8 +341,11 @@ def normalization_constant(domain_end: float = math.pi, a: float = 0.3, b: float
     The value depends only on the domain (1/2 on [0, pi), 1/4 on [0, 2 pi)),
     which the default off-grid settings let a test confirm.
     """
-    raw = lambda lam: np.abs(np.sin(2.0 * (a + b - 2.0 * lam)))
-    return 1.0 / _integrate(raw, _zeros((a + b) / 2.0, math.pi / 4, domain_end), domain_end)
+    if not 0.0 < domain_end < math.inf:
+        raise ValueError(f"domain_end must be finite and > 0, not {shown(domain_end)}")
+    _check_finite(a=a, b=b)
+    return 1.0 / _arches(2.0 * (a + b), 4.0, _zeros((a + b) / 2.0, math.pi / 4, domain_end),
+                         domain_end)
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +421,7 @@ def mc_chsh(a: float, a_prime: float, b: float, b_prime: float,
 
 def write_correlation_grid_csv(grid_size: int, stream: IO[str]) -> None:
     """Rows ``a_deg, b_deg, E_quant, E_correlated, abs_err`` over a uniform grid."""
+    _check_grid(grid_size)
     if grid_size > GRID_CAP:
         raise SizeCapError(f"grid size {shown(grid_size)} exceeds cap {GRID_CAP}")
     grid = np.linspace(0.0, math.pi, grid_size, endpoint=False)

@@ -135,6 +135,24 @@ class TestCorrelatedExpectation:
         assert abs(r.score - 2 * SQRT2) < 1e-9
         assert r.violates_classical_bound
 
+    def test_closed_form_accuracy(self):
+        # tighter than acceptance criterion 10: the arch sums are exact up to rounding
+        grid = np.linspace(0.0, math.pi, 64, endpoint=False).tolist()
+        assert max(abs(bellkit.correlated_expectation(a, b) - math.cos(2.0 * (a - b)))
+                   for a in grid for b in grid) <= 2e-15
+        for which in ("lambda", "a", "b"):
+            assert bellkit.marginal_flatness(which, 64) <= 1e-15
+        r = bellkit.chsh_score(bellkit.correlated_expectation, *bellkit.STANDARD_SETTINGS)
+        assert abs(r.score - bellkit.QUANTUM_MAX) <= 2e-15
+
+    @pytest.mark.parametrize("a, b, name", [
+        (math.inf, 0.0, "a = inf"), (0.3, -math.inf, "b = -inf"), (math.nan, 0.3, "a = nan")])
+    def test_non_finite_setting_refused(self, a, b, name):
+        with pytest.raises(bellkit.QuadratureError, match=f"setting {name} is not finite"):
+            bellkit.correlated_expectation(a, b)
+        with pytest.raises(bellkit.QuadratureError, match="setting . = .* is not finite"):
+            bellkit._marginal("lambda", a, b)
+
 
 class TestMarginals:
     def test_all_three_flat(self):
@@ -145,9 +163,28 @@ class TestMarginals:
         with pytest.raises(ValueError):
             bellkit.marginal_flatness("c")
 
+    @pytest.mark.parametrize("grid_size", [0, -1])
+    def test_empty_or_negative_grid_refused(self, grid_size):
+        # a grid of no points would read as perfectly flat
+        with pytest.raises(ValueError, match=f"grid_size must be >= 1, not {grid_size}"):
+            bellkit.marginal_flatness("a", grid_size)
+
+    @pytest.mark.parametrize("grid_size", [0, -2])
+    def test_empty_or_negative_correlation_grid_refused(self, grid_size):
+        stream = io.StringIO()
+        with pytest.raises(ValueError, match=f"grid_size must be >= 1, not {grid_size}"):
+            bellkit.write_correlation_grid_csv(grid_size, stream)
+        assert stream.getvalue() == ""
+
     def test_normalization_constant_depends_on_domain(self):
         assert bellkit.normalization_constant(math.pi) == pytest.approx(0.5, abs=1e-10)
         assert bellkit.normalization_constant(2 * math.pi) == pytest.approx(0.25, abs=1e-10)
+
+    @pytest.mark.parametrize("end", [0.0, -1.0, math.inf, math.nan])
+    def test_normalization_refuses_an_empty_or_unbounded_domain(self, end):
+        # a negative end would integrate over [end, 0) and return a number
+        with pytest.raises(ValueError, match="domain_end must be finite and > 0"):
+            bellkit.normalization_constant(end)
 
 
 class TestSampling:

@@ -100,9 +100,9 @@ MODEL_SPECTRA = {  # ``ontosim spectrum`` of a model: its free levels and multip
     (4, 6, 9): "b0db2e78784a7e574665255c050abca2403fe9166afcb6202dc9dd042b6a5bc2",
 }
 BELL_FILES = {  # ``ontosim bell --grid 4 --samples 1000 --seed 7``
-    "chsh.json": "9e1c3ea5dbf94d26b0564c3f89ebecf5313c87ed8da81658c549b593188c58ad",
-    "flatness.json": "53ae654f93754a27de772ada2f51a6185fd48e928c1b27b27be2462d0f18641a",
-    "grid.csv": "5e8158beacc1a2cc362335f7ec53bf9413ae0658ae95a01dadf776b940f539ef",
+    "chsh.json": "6223883faf75c03b6e1333af30025e5961a6beac37d3ac5c7469ab3b8af762e9",
+    "flatness.json": "56c7bd4bd8dfef7890ba28c95ede6ebf2ea4a35d469e4576962d917dd3423d6e",
+    "grid.csv": "c89f726642a4c429449ccc3e53089d2871502a60021f12a4fcd1debda2c24319",
     "samples.csv": "bc4f6d2bf43ac13033c10e9bf1f22cf0cd552e94710072e45d87f8ef95f2e505",
 }
 MC_CHSH = {  # samples per setting: ``mc_chsh`` score at the standard settings, seed 5

@@ -45,7 +45,7 @@ def test_table_writers_record_their_spans():
                  "bellkit.write_correlation_grid_csv", "bellkit.write_samples_csv"):
         assert name in spans and spans[name][6] is False and spans[name][2] >= spans[name][1]
     assert spans["bellkit.write_samples_csv"][5] == {"rows": 7}
-    # the grid's quadratures nest under its span, one per cell
+    # the grid's cells nest under its span, one correlated_expectation each
     grid = tracer.spans.index(spans["bellkit.write_correlation_grid_csv"])
     assert [span[3] for span in tracer.spans
             if span[0] == "bellkit.correlated_expectation"] == [grid] * 4

@@ -1,9 +1,13 @@
-"""Bit-identity oracle for bellkit's quadrature layer.
+"""Bit-identity oracle for bellkit's integrals.
 
-The reference below is the quadrature as it was before its dispatch was cut:
-numpy edges through ``np.unique``, a numpy ``_zeros``, a loop that always runs
-to an empty partition, and integrands that multiply by both outcome signs.
-The lean code must return the same float, bit for bit, for every integral.
+The correlated model's expectation, its marginals and its normalization are
+sums of closed-form arches; each must equal, bit for bit, the plain arch sum
+below (numpy edges through ``np.unique``, one panel at a time, both outcome
+signs multiplied in) and agree with the panel quadrature to 1e-13.  The
+factorized models keep the quadrature: the reference is the quadrature as it
+was before its dispatch was cut (numpy edges, a numpy ``_zeros``, a loop that
+always runs to an empty partition), and the lean code must return the same
+float, bit for bit.
 """
 
 import math
@@ -29,6 +33,7 @@ settings_on_kinks = [
     (math.pi / 8, 3 * math.pi / 8),
     (math.pi - 1e-16, 0.3),
     (math.nextafter(math.pi, 0.0), 0.3),
+    (1.0, -2.22e-16),  # b + pi/4 lands 2 ulps above the edge pi/4: a 2-ulp panel
 ]
 
 
@@ -55,13 +60,57 @@ def ref_integrate(f, kinks, end=math.pi):
     return float(total)
 
 
+def correlated_kinks(a, b):
+    return np.concatenate([ref_zeros((a + b) / 2.0, math.pi / 4),
+                           ref_zeros(a + math.pi / 4, math.pi / 2),
+                           ref_zeros(b + math.pi / 4, math.pi / 2)])
+
+
+def correlated_integrand(a, b):
+    return lambda lam: conditional_density(lam, a, b) * outcome_sign(a, lam) * outcome_sign(b, lam)
+
+
 def ref_correlated_expectation(a, b):
-    kinks = np.concatenate([ref_zeros((a + b) / 2.0, math.pi / 4),
-                            ref_zeros(a + math.pi / 4, math.pi / 2),
-                            ref_zeros(b + math.pi / 4, math.pi / 2)])
-    return ref_integrate(
-        lambda lam: conditional_density(lam, a, b) * outcome_sign(a, lam) * outcome_sign(b, lam),
-        kinks)
+    return ref_integrate(correlated_integrand(a, b), correlated_kinks(a, b))
+
+
+def ref_arches(theta, rate, kinks, end=math.pi, settings=None):
+    """Integral over [0, end) of |sin(theta - rate x)|, times both outcome signs
+    at ``settings``: one signed difference of cosines per panel."""
+    edges = np.unique(np.r_[0.0, end, kinks]).tolist()
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid = (lo + hi) / 2.0
+        sign = math.copysign(1.0, math.sin(theta - rate * mid))
+        for setting in settings or ():
+            sign *= 1.0 if math.cos(2.0 * (mid - setting)) >= 0.0 else -1.0
+        total += sign * (math.cos(theta - rate * hi) - math.cos(theta - rate * lo))
+    return total / rate
+
+
+def arch_correlated_expectation(a, b):
+    return bellkit.NORMALIZATION * ref_arches(2.0 * (a + b), 4.0, correlated_kinks(a, b),
+                                              settings=(a, b))
+
+
+def arch_marginal(which, u, v):
+    if which == "lambda":
+        return bellkit.NORMALIZATION * ref_arches(2.0 * (u + v), 4.0,
+                                                  ref_zeros((u + v) / 2.0, math.pi / 4))
+    return bellkit.NORMALIZATION * ref_arches(4.0 * v - 2.0 * u, 2.0,
+                                              ref_zeros(2.0 * v - u, math.pi / 2))
+
+
+def arch_normalization_constant(end, a, b):
+    return 1.0 / ref_arches(2.0 * (a + b), 4.0, ref_zeros((a + b) / 2.0, math.pi / 4, end), end)
+
+
+def quadrature_gap(a, b):
+    """How far an arch sum may sit from the quadrature: 1e-13 on [0, pi)^2,
+    growing with the settings' size beyond it."""
+    if 0.0 <= a < math.pi and 0.0 <= b < math.pi:
+        return 1e-13
+    return 1e-13 * max(1.0, abs(a) + abs(b))
 
 
 def ref_detection_probability(model, a, b):
@@ -129,7 +178,9 @@ def test_zeros(phase, spacing, end):
 @given(angles, angles)
 @with_examples
 def test_correlated_expectation(a, b):
-    assert same_bits(bellkit.correlated_expectation(a, b), ref_correlated_expectation(a, b))
+    got = bellkit.correlated_expectation(a, b)
+    assert same_bits(got, arch_correlated_expectation(a, b))
+    assert abs(got - ref_correlated_expectation(a, b)) <= quadrature_gap(a, b)
 
 
 @settings(max_examples=30, deadline=None)
@@ -155,7 +206,9 @@ def test_factorized_correlation_malus_model(a, b):
 @example("a", math.pi / 4, math.pi / 8)
 @example("b", math.pi - 1e-16, 0.0)
 def test_marginal(which, u, v):
-    assert same_bits(bellkit._marginal(which, u, v), ref_marginal(which, u, v))
+    got = bellkit._marginal(which, u, v)
+    assert same_bits(got, arch_marginal(which, u, v))
+    assert abs(got - ref_marginal(which, u, v)) <= quadrature_gap(u, v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -164,8 +217,9 @@ def test_marginal(which, u, v):
 @example(2 * math.pi, 0.3, 1.1)
 @example(2 * math.pi, 0.0, 0.0)
 def test_normalization_constant(end, a, b):
-    assert same_bits(bellkit.normalization_constant(end, a, b),
-                     ref_normalization_constant(end, a, b))
+    got = bellkit.normalization_constant(end, a, b)
+    assert same_bits(got, arch_normalization_constant(end, a, b))
+    assert abs(got - ref_normalization_constant(end, a, b)) <= quadrature_gap(a, b)
 
 
 @settings(max_examples=20, deadline=None)
@@ -189,21 +243,14 @@ def test_bisecting_high_frequency_density(a, b):
     assert lean_rounds == rounds and len(rounds) >= 10
 
 
-def test_every_grid_cell_takes_one_round(monkeypatch):
-    """Each cell of the 64 x 64 acceptance grid is accepted in the first
-    round: its kinks are declared and merged, so no panel needs a split."""
-    integrate, calls = bellkit._integrate, []
-
-    def counted(f, kinks, end=math.pi):
-        def g(lam):
-            calls[-1] += 1
-            return f(lam)
-        calls.append(0)
-        return integrate(g, kinks, end)
-
-    monkeypatch.setattr(bellkit, "_integrate", counted)
+def test_every_grid_cell_takes_one_round():
+    """The library quadrature accepts each cell of the 64 x 64 acceptance grid
+    in the first round: the kinks are declared and merged, so no panel of the
+    correlated integrand needs a split."""
     grid = np.linspace(0.0, math.pi, 64, endpoint=False).tolist()
     for a in grid:
         for b in grid:
-            bellkit.correlated_expectation(a, b)
-    assert len(calls) == 64 * 64 and set(calls) == {1}
+            f, rounds = correlated_integrand(a, b), []
+            bellkit._integrate(lambda lam: rounds.append(lam.shape[0]) or f(lam),
+                               correlated_kinks(a, b))
+            assert len(rounds) == 1
