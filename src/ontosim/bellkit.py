@@ -5,8 +5,10 @@ Angles live on [0, pi) (polarization is mod pi); the complementary setting is
 
 * the quantum two-photon correlation ``E(a, b) = cos 2(a - b)``;
 * factorized hidden-variable models, a density rho(lambda) with independent
-  response probabilities ``p_A(a, lambda)`` and ``p_B(b, lambda)``, whose
-  CHSH combination is provably bounded by 2;
+  response probabilities ``p_A(a, lambda)`` and ``p_B(b, lambda)``.  Their
+  correlation is one integral, E(a, b) = int rho dA dB dlambda with
+  dA = p_A(a) - p_A(a~) and dB = p_B(b) - p_B(b~) in [-1, 1] (x~ the
+  complementary setting), which is what bounds their CHSH combination by 2;
 * a three-variable joint density ``P(a, b, lambda) = C |sin 2(a + b - 2 lambda)|``
   that correlates the source variable with both settings while keeping every
   single-variable marginal flat.
@@ -54,8 +56,7 @@ class NonNormalizedDensityError(ValueError):
 class QuadratureError(ValueError):
     """No estimate within tolerance in 200 panels: a non-finite integrand, or
     a jump or oscillation the declared kinks do not resolve.  Also raised for
-    a setting of the correlated model that is not finite, which no integral
-    of it can take."""
+    a setting that is not finite, which no integral of a model can take."""
 
 
 def normalize_angle(x):
@@ -69,6 +70,13 @@ def normalize_angle(x):
 def complementary(a):
     """The 90-degree rotated setting, back in [0, pi)."""
     return normalize_angle(np.asarray(a) + math.pi / 2)
+
+
+def _complement(a: float) -> float:
+    """``complementary`` of one float, to the bit, without numpy's per-call
+    dispatch: Python's float ``%`` rounds as ``np.remainder`` does."""
+    out = (a + math.pi / 2) % math.pi
+    return 0.0 if out >= math.pi else out
 
 
 def quantum_correlation(a, b):
@@ -131,6 +139,12 @@ def _integrate(f: Callable, kinks: Sequence[float], end: float = math.pi) -> flo
         lo, hi = np.concatenate([lo[split], mid[split]]), np.concatenate([mid[split], hi[split]])
 
 
+def _check_finite(**settings: float) -> None:
+    for name, value in settings.items():
+        if not math.isfinite(value):
+            raise QuadratureError(f"setting {name} = {shown(value)} is not finite")
+
+
 # ---------------------------------------------------------------------------
 # factorized hidden-variable models
 
@@ -141,9 +155,11 @@ class FactorizedModel:
     ``density(lam)`` must integrate to 1 over [0, pi); the responses map
     (setting, lam) to detection probabilities in [0, 1].  All three act
     elementwise on an array ``lam`` of any shape.  Every discontinuity of the
-    responses at a setting must be listed in ``kinks(setting)``: quadrature
-    splits its panels there, and an undeclared jump is not guaranteed to
-    reach the 1e-9 tolerance (it can slip past the error estimate).
+    responses at a setting must be listed in ``kinks(setting)``: a
+    correlation merges the kinks of its four settings (the two and their
+    complements) into one partition, and an undeclared jump is not
+    guaranteed to reach the 1e-9 tolerance (it can slip past the error
+    estimate).
     """
 
     density: Callable[[np.ndarray], np.ndarray]
@@ -153,27 +169,36 @@ class FactorizedModel:
 
 
 def detection_probability(model: FactorizedModel, a: float, b: float) -> float:
-    """Joint detection probability: the density-weighted product of responses."""
+    """Joint detection probability: the density-weighted product of responses.
+    Raises QuadratureError for a setting that is not finite."""
+    _check_finite(a=a, b=b)
     kinks = [*model.kinks(a), *model.kinks(b)] if model.kinks else ()
     return _integrate(
         lambda lam: model.density(lam) * model.p_alice(a, lam) * model.p_bob(b, lam), kinks)
 
 
 def factorized_correlation(model: FactorizedModel, a: float, b: float) -> float:
-    """Correlation of a factorized model via the four complementary settings.
+    """Correlation of a factorized model as one integral over lambda.
 
-    E = P(a,b) + P(a~,b~) - P(a,b~) - P(a~,b) where x~ is the 90-degree
-    rotated setting.  Raises if the density is not normalized (checked by the
-    same quadrature at 1e-8).
+    E = P(a,b) + P(a~,b~) - P(a,b~) - P(a~,b), with x~ the 90-degree rotated
+    setting, factors under the integral into rho * dA * dB, where
+    dA = p_A(a) - p_A(a~) and dB = p_B(b) - p_B(b~).  Both lie in [-1, 1], so
+    dA(a) (dB(b) - dB(b')) + dA(a') (dB(b) + dB(b')) is at most 2 in size
+    pointwise, and the CHSH combination of E is bounded by 2.  Raises
+    NonNormalizedDensityError if the density is not normalized (checked by
+    the same quadrature at 1e-8), QuadratureError for a setting that is not
+    finite.
     """
+    _check_finite(a=a, b=b)
     norm = _integrate(model.density, ())
     if abs(norm - 1.0) > 1e-8:
         raise NonNormalizedDensityError(f"density integrates to {norm!r}, not 1")
-    ac, bc = float(complementary(a)), float(complementary(b))
-    return (detection_probability(model, a, b)
-            + detection_probability(model, ac, bc)
-            - detection_probability(model, a, bc)
-            - detection_probability(model, ac, b))
+    ac, bc = _complement(a), _complement(b)
+    kinks = ([*model.kinks(a), *model.kinks(ac), *model.kinks(b), *model.kinks(bc)]
+             if model.kinks else ())
+    return _integrate(lambda lam: model.density(lam)
+                      * (model.p_alice(a, lam) - model.p_alice(ac, lam))
+                      * (model.p_bob(b, lam) - model.p_bob(bc, lam)), kinks)
 
 
 def uniform_density(lam):
@@ -278,12 +303,6 @@ def _arches(theta: float, rate: float, kinks: Sequence[float], end: float = math
             sign = -sign
         total += sign * (cosines[k + 1] - cosines[k])
     return total / rate
-
-
-def _check_finite(**settings: float) -> None:
-    for name, value in settings.items():
-        if not math.isfinite(value):
-            raise QuadratureError(f"setting {name} = {shown(value)} is not finite")
 
 
 def correlated_expectation(a: float, b: float) -> float:

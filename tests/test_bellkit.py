@@ -72,6 +72,51 @@ class TestFactorized:
         with pytest.raises(bellkit.NonNormalizedDensityError):
             bellkit.factorized_correlation(m, 0.0, 0.0)
 
+    @pytest.mark.parametrize("model", [bellkit.malus_deterministic_model(),
+                                       random_factorized_model(make_rng(37))],
+                             ids=["malus", "smooth"])
+    @pytest.mark.parametrize("a, b, name", [
+        (math.inf, 0.3, "a = inf"), (0.3, -math.inf, "b = -inf"), (math.nan, 0.3, "a = nan"),
+        (0.3, math.nan, "b = nan")])
+    def test_non_finite_setting_refused(self, model, a, b, name):
+        # unchecked, the Malus model read cos(nan) > 0 as no detection and
+        # returned 0.0, and a smooth model failed to converge
+        with pytest.raises(bellkit.QuadratureError, match=f"setting {name} is not finite"):
+            bellkit.factorized_correlation(model, a, b)
+        with pytest.raises(bellkit.QuadratureError, match=f"setting {name} is not finite"):
+            bellkit.detection_probability(model, a, b)
+
+    def test_one_product_integral(self):
+        # the normalization and the product rho * dA * dB: two quadratures of
+        # one round each, the density twice and each response once per setting
+        model = random_factorized_model(make_rng(38))
+        calls = []
+
+        def counted(name, f):
+            return lambda *args: calls.append((name, *args[:-1])) or f(*args)
+
+        a, b = 0.3, 1.1
+        counted_model = bellkit.FactorizedModel(
+            density=counted("density", model.density),
+            p_alice=counted("alice", model.p_alice), p_bob=counted("bob", model.p_bob))
+        bellkit.factorized_correlation(counted_model, a, b)
+        ac, bc = bellkit.complementary(a), bellkit.complementary(b)
+        assert sorted(calls) == sorted([("density",), ("density",), ("alice", a), ("alice", ac),
+                                        ("bob", b), ("bob", bc)])
+
+    def test_malus_standard_settings_take_one_round(self):
+        model, rounds = bellkit.malus_deterministic_model(), []
+
+        def density(lam):
+            rounds.append(lam.shape)
+            return model.density(lam)
+
+        counted = bellkit.FactorizedModel(density, model.p_alice, model.p_bob, model.kinks)
+        r = bellkit.chsh_score(lambda x, y: bellkit.factorized_correlation(counted, x, y),
+                               *bellkit.STANDARD_SETTINGS)
+        assert len(rounds) == 2 * 4
+        assert abs(r.score - 2.0) <= 1e-12
+
 
 class TestChsh:
     def test_quantum_reaches_two_sqrt_two(self):

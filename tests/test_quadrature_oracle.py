@@ -96,19 +96,23 @@ def test_normalization_constant(end, a, b):
 
 
 def test_high_frequency_density_bisects_and_converges():
-    calls = []
+    density_rounds, response_rounds = [], []
 
     def density(lam):
-        calls.append(lam)
+        density_rounds.append(lam)
         return (1.0 + 0.9 * np.cos(80.0 * lam)) / math.pi
 
     def response(setting, lam):
+        response_rounds.append(lam)
         return 0.5 + 0.4 * np.cos(2.0 * (lam - setting))
 
     model = bellkit.FactorizedModel(density=density, p_alice=response, p_bob=response)
     got = bellkit.factorized_correlation(model, 0.3, 1.2)
-    # five integrals (the normalization and four detections), each bisected at least once
-    assert len(calls) >= 10
+    # two integrals, each bisected at least once: the normalization calls the
+    # density alone, the product calls it with four responses per round
+    product = len(response_rounds) // 4
+    assert len(response_rounds) == 4 * product
+    assert product >= 2 and len(density_rounds) - product >= 2
     assert abs(got - reference_factorized(model, 0.3, 1.2, lambda s: [])) <= AGREE
 
 
