@@ -37,14 +37,14 @@ from typing import IO, Callable, Sequence
 
 import numpy as np
 
-from .ontodyn import SizeCapError, philox_rng, shown, write_csv
+from .ontodyn import SizeCapError, json_int, json_real, philox_rng, shown, write_csv
 
 CLASSICAL_BOUND = 2.0
 QUANTUM_MAX = 2.0 * math.sqrt(2.0)
 # (a, a', b, b') in radians: 0, 45, 22.5 and 67.5 degrees.
 STANDARD_SETTINGS = (0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)
-# Work caps: a correlation grid costs one arch sum per cell (grid_size**2
-# cells), a sample about a hundred bytes while drawn and one CSV row.
+# Work caps: a correlation grid or a marginal's grid costs one arch sum per
+# cell (grid_size**2 cells), a sample about a hundred bytes while drawn and one CSV row.
 GRID_CAP = 256
 SAMPLE_CAP = 10 ** 6
 
@@ -101,23 +101,21 @@ def _zeros(phase: float, spacing: float, end: float = math.pi) -> list[float]:
     return [x for x in points if x < end]
 
 
-def _integrate(f: Callable, kinks: Sequence[float], end: float = math.pi) -> float:
-    """Integral of ``f`` over [0, end) by adaptive Gauss-Legendre panels: the
+def _integrate(f: Callable, kinks: Sequence[float]) -> float:
+    """Integral of ``f`` over [0, pi) by adaptive Gauss-Legendre panels: the
     factorized models' route, whose callables have no closed form.
 
-    [0, end) is cut into 4 equal panels and at the kinks inside it.  Each
+    [0, pi) is cut into 4 equal panels and at the kinks inside it.  Each
     round calls ``f`` once on the 24- and 48-node points of all open panels;
-    a panel whose two sums differ by more than 1e-9 * width / end, or are not
+    a panel whose two sums differ by more than 1e-9 * width / pi, or are not
     finite, is bisected; the others count at their 48-node sum.  A round that
     accepts every open panel returns at once; for a smooth ``f`` whose jumps
     and kinks are all declared, that is the first round.  Raises
     QuadratureError once the partition would pass 200 panels.
     """
-    edges = _EDGES if end == math.pi else np.linspace(0.0, end, 5)
-    if len(kinks) or edges is not _EDGES:  # _EDGES is sorted and distinct already
-        # np.unique of the edges and the kinks clipped to [0, end], in Python
-        # floats: a dozen of them cost less than numpy's dispatch
-        edges = np.array(sorted({*edges.tolist(), *(min(max(k, 0.0), end) for k in kinks)}))
+    # np.unique of the base edges and the kinks clipped to [0, pi], in Python
+    # floats: a dozen of them cost less than numpy's dispatch
+    edges = np.array(sorted({*_EDGES.tolist(), *(min(max(k, 0.0), math.pi) for k in kinks)}))
     lo, hi = edges[:-1], edges[1:]
     total, done = 0.0, 0
     while True:
@@ -130,7 +128,7 @@ def _integrate(f: Callable, kinks: Sequence[float], end: float = math.pi) -> flo
             y = np.broadcast_to(y, lam.shape)
         coarse = half * (y[:, :24] @ _WEIGHTS_24)
         fine = half * (y[:, 24:] @ _WEIGHTS_48)
-        accept = np.abs(fine - coarse) <= 1e-9 * (hi - lo) / end
+        accept = np.abs(fine - coarse) <= 1e-9 * (hi - lo) / math.pi
         if accept.all():
             return float(total + fine.sum())
         split = ~accept
@@ -335,9 +333,11 @@ def _marginal(which: str, u: float, v: float) -> float:
     return NORMALIZATION * _arches(4.0 * v - 2.0 * u, 2.0, _zeros(2.0 * v - u, math.pi / 2))
 
 
-def _check_grid(grid_size: int) -> None:
-    if grid_size < 1:
-        raise ValueError(f"grid_size must be >= 1, not {shown(grid_size)}")
+def _grid(grid_size: int) -> np.ndarray:
+    grid_size = json_int(grid_size, "grid_size", 1)
+    if grid_size > GRID_CAP:
+        raise SizeCapError(f"grid size {shown(grid_size)} exceeds cap {GRID_CAP}")
+    return np.linspace(0.0, math.pi, grid_size, endpoint=False)
 
 
 def marginal_flatness(which: str, grid_size: int = 17) -> float:
@@ -349,8 +349,7 @@ def marginal_flatness(which: str, grid_size: int = 17) -> float:
     """
     if which not in ("lambda", "a", "b"):
         raise ValueError("which must be one of 'lambda', 'a', 'b'")
-    _check_grid(grid_size)
-    grid = np.linspace(0.0, math.pi, grid_size, endpoint=False).tolist()
+    grid = _grid(grid_size).tolist()
     return max(abs(_marginal(which, u, v) - 1.0) for u in grid for v in grid)
 
 
@@ -360,6 +359,7 @@ def normalization_constant(domain_end: float = math.pi, a: float = 0.3, b: float
     The value depends only on the domain (1/2 on [0, pi), 1/4 on [0, 2 pi)),
     which the default off-grid settings let a test confirm.
     """
+    domain_end = json_real(domain_end, "domain_end")
     if not 0.0 < domain_end < math.inf:
         raise ValueError(f"domain_end must be finite and > 0, not {shown(domain_end)}")
     _check_finite(a=a, b=b)
@@ -396,16 +396,16 @@ class TripleSamples:
     outcome_b: np.ndarray
 
 
-def _check_samples(count: int) -> None:
-    if count < 1:
-        raise ValueError(f"sample count must be >= 1, not {shown(count)}")
+def _check_samples(count: int, field: str) -> int:
+    count = json_int(count, field, 1)
     if count > SAMPLE_CAP:
         raise SizeCapError(f"{shown(count)} samples exceed cap {SAMPLE_CAP}")
+    return count
 
 
 def sample_triples(count: int, seed: int) -> TripleSamples:
     """Uniform settings on [0, pi)^2, then lambda from the conditional density."""
-    _check_samples(count)
+    count = _check_samples(count, "count")
     rng = philox_rng(seed)
     a = rng.random(count) * math.pi
     b = rng.random(count) * math.pi
@@ -429,7 +429,7 @@ def mc_correlation(a: float, b: float, count: int, rng: np.random.Generator) -> 
 def mc_chsh(a: float, a_prime: float, b: float, b_prime: float,
             samples_per_setting: int, seed: int) -> ChshResult:
     """CHSH score of the correlated model estimated by Monte Carlo."""
-    _check_samples(samples_per_setting)
+    samples_per_setting = _check_samples(samples_per_setting, "samples_per_setting")
     rng = philox_rng(seed)
     return chsh_score(lambda x, y: mc_correlation(x, y, samples_per_setting, rng),
                       a, a_prime, b, b_prime)
@@ -440,10 +440,7 @@ def mc_chsh(a: float, a_prime: float, b: float, b_prime: float,
 
 def write_correlation_grid_csv(grid_size: int, stream: IO[str]) -> None:
     """Rows ``a_deg, b_deg, E_quant, E_correlated, abs_err`` over a uniform grid."""
-    _check_grid(grid_size)
-    if grid_size > GRID_CAP:
-        raise SizeCapError(f"grid size {shown(grid_size)} exceeds cap {GRID_CAP}")
-    grid = np.linspace(0.0, math.pi, grid_size, endpoint=False)
+    grid = _grid(grid_size)
     a, b = (g.ravel() for g in np.meshgrid(grid, grid, indexing="ij"))
     eq = quantum_correlation(a, b)
     ec = np.array([correlated_expectation(x, y) for x, y in zip(a, b)])

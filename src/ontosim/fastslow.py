@@ -319,6 +319,7 @@ def phase_strides(periods: tuple[int, ...]) -> np.ndarray:
 
 def flat_config(model: OntologicalModel, slow: int, phases) -> int:
     """Mixed-radix flat index of (slow, phases); slow is the most significant digit."""
+    _check_config(model, ClassicalConfig(slow, tuple(phases)))
     strides = phase_strides(model.periods)
     return int(slow) * model.phase_space_size + int(np.dot(np.asarray(phases, np.int64), strides))
 
@@ -589,9 +590,7 @@ def run_ensemble(model: OntologicalModel, initial_slow: int, horizon: int,
     the (horizon+1, N) result.  Both are capped at :data:`ENUMERATION_CAP`
     (SizeCapError, raised before anything is allocated).
     """
-    if not ontodyn._is_integer(sample_count) or sample_count < 1:
-        raise ValueError(
-            f"sample_count must be an integer >= 1, not {ontodyn.shown(sample_count)}")
+    sample_count = ontodyn.json_int(sample_count, "sample_count", 1)
     _check_run(model, initial_slow, horizon, "samples", sample_count)
     phases = random_phases(model, sample_count, ontodyn.philox_rng(seed))
     return _occupation_counts(model, initial_slow, horizon, phases) / sample_count
@@ -603,8 +602,7 @@ def _check_run(model: OntologicalModel, initial_slow: int, horizon: int,
     slow state that is not an integer in range, more than
     :data:`ENUMERATION_CAP` rows (samples or phase combinations) or entries of
     the (horizon+1, N) table, or a clock period beyond :data:`PERIOD_CAP`."""
-    if not ontodyn._is_integer(horizon) or horizon < 0:
-        raise ValueError(f"horizon must be an integer >= 0, not {ontodyn.shown(horizon)}")
+    horizon = ontodyn.json_int(horizon, "horizon", 0)
     if not ontodyn._is_integer(initial_slow) or not 0 <= initial_slow < model.slow_count:
         raise ConfigError(f"unknown slow state {ontodyn.shown(initial_slow)}")
     check_enumerable(what, rows)

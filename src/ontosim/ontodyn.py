@@ -224,7 +224,9 @@ def permutation_matrix(law: PermutationLaw) -> np.ndarray:
 
 def cycle_spectrum(cycle_length: int) -> CycleSpectrum:
     """Eigenphases, eigenvectors and energies of a single cycle."""
-    t = int(cycle_length)
+    t = json_int(cycle_length, "cycle_length", 1)
+    if t > DENSE_CAP:
+        raise SizeCapError(f"dense eigenvector matrix refused for {t} > {DENSE_CAP} states")
     energies, phases = _cycle_modes(t)
     n = np.arange(t)
     vectors = np.exp(2j * np.pi * n[:, None] * n[None, :] / t) / math.sqrt(t)
@@ -233,8 +235,6 @@ def cycle_spectrum(cycle_length: int) -> CycleSpectrum:
 
 def _cycle_modes(t: int) -> tuple[np.ndarray, np.ndarray]:
     """``(energies, eigenphases)`` of a cycle of length t, without its eigenvectors."""
-    if t < 1:
-        raise ValueError("cycle length must be a positive integer")
     n = np.arange(t)
     return 2.0 * np.pi * n / t, np.exp(-2j * np.pi * n / t)
 
@@ -245,8 +245,7 @@ def evolve_basis_state(law: PermutationLaw, k: int, t: int) -> int:
     A basis state stays a basis state for every t: the unitary representation
     never turns a single ontic state into a superposition.
     """
-    if not (_is_integer(k) and _is_integer(t)):
-        raise ValueError(f"state k and time t must be integers, not {shown((k, t))}")
+    k, t = json_int(k, "state k"), json_int(t, "time t")
     if not 0 <= k < law.size:
         raise ValueError(f"state {k} outside [0, {law.size})")
     orbit, _ = _walk(law.image, [k])
@@ -255,8 +254,7 @@ def evolve_basis_state(law: PermutationLaw, k: int, t: int) -> int:
 
 def law_power(law: PermutationLaw, t: int) -> PermutationLaw:
     """The law applied t times, as a law (exact integer composition)."""
-    if not _is_integer(t):
-        raise ValueError(f"power t must be an integer, not {shown(t)}")
+    t = json_int(t, "power t")
     cycles = decompose(law).cycles
     lengths = cycles.lengths.tolist()
     first = np.repeat(cycles._starts, lengths)
@@ -295,8 +293,8 @@ def spectral_decomposition(law: PermutationLaw) -> SpectralDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# input values: one reader per kind of value for documents, flags and config
-# files alike, and one rendering of an offending value for every message
+# input values: one reader per kind of value for documents, flags, config files and
+# library arguments alike, and one rendering of an offending value for every message
 
 _SHOWN = reprlib.Repr()
 _SHOWN.maxlevel, _SHOWN.maxlong, _SHOWN.maxstring, _SHOWN.maxother = 3, 20, 100, 100
@@ -318,13 +316,13 @@ def shown(value) -> str:
 
 
 def json_int(value, field: str, least: int | None = None) -> int:
-    """An integer, never coerced: a float (also ``10.0``), a boolean, a string
-    or a value below ``least`` is refused with a ``ValueError`` naming ``field``."""
-    if type(value) is not int:
+    """A Python or numpy integer as an ``int``, never coerced: a float (also ``10.0``), a
+    boolean, a string or a value below ``least`` is refused with a ValueError naming ``field``."""
+    if not _is_integer(value):
         raise ValueError(f"{field} must be an integer, not {shown(value)}")
     if least is not None and value < least:
-        raise ValueError(f"{field} must be at least {least}, not {shown(value)}")
-    return value
+        raise ValueError(f"{field} must be at least {least}, not {shown(int(value))}")
+    return int(value)
 
 
 def json_ints(values, field: str, length: int | None = None) -> list[int]:
@@ -332,16 +330,16 @@ def json_ints(values, field: str, length: int | None = None) -> list[int]:
     if type(values) is not list or (length is not None and len(values) != length):
         size = "a list of" if length is None else f"a list of {length}"
         raise ValueError(f"{field} must be {size} integers, not {shown(values)}")
-    for value in values:
-        if type(value) is not int:
-            json_int(value, field)
+    if not all(type(value) is int for value in values):
+        values = [json_int(value, field) for value in values]
     return values
 
 
 def json_real(value, field: str, text: bool = False) -> float:
-    """A number within float range as a float, maybe inf or nan; with ``text``
-    also a string ``float`` reads (JSON cannot write nan)."""
-    if type(value) in (int, float) or (text and type(value) is str):
+    """A Python or numpy number within float range as a float, maybe inf or nan, never a
+    boolean; with ``text`` also a string ``float`` reads (JSON cannot write nan)."""
+    if (type(value) in (int, float) or isinstance(value, (np.integer, np.floating))
+            or (text and type(value) is str)):
         try:
             return float(value)
         except (ValueError, OverflowError):
@@ -381,7 +379,7 @@ def json_objects(values, field: str, required: tuple[str, ...] = ()) -> list[dic
 
 def philox_rng(seed: int) -> np.random.Generator:
     """Counter-based generator (Philox) so runs are reproducible across platforms."""
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.Philox(json_int(seed, "seed", 0)))
 
 
 CSV_CHUNK = 1024  # rows formatted per write, which bounds the text held at once

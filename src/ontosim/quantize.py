@@ -320,10 +320,11 @@ def compare_dynamics(model: fastslow.OntologicalModel, initial_slow: int, horizo
     state by :func:`koopman_step_operator` and reads it in the ontic basis;
     ``effective`` evolves the slow state under :func:`ground_project`'s
     matrix.  With ``sample_count`` > 0 a seeded :func:`fastslow.run_ensemble`
-    rides along.  A horizon or slow state that is not an integer in range is
-    refused first, then each size cap before anything is allocated: the ontic
-    space, then the occupation table, then the samples.
+    rides along.  A sample count, horizon or slow state that is not an
+    integer in range is refused first, then each size cap before anything is
+    allocated: the ontic space, then the occupation table, then the samples.
     """
+    sample_count = ontodyn.json_int(sample_count, "sample_count", 0)
     fastslow._check_run(model, initial_slow, horizon, "ontic space", model.ontic_space_size)
     ensemble = (fastslow.run_ensemble(model, initial_slow, horizon, sample_count, seed)
                 if sample_count > 0 else None)
@@ -608,10 +609,10 @@ def compile_target(target, tolerance: float, max_period: int) -> fastslow.Ontolo
     """
     t = validate_target(target)
     _check_loop_signs(t)
+    tolerance = ontodyn.json_real(tolerance, "tolerance")
     if not 0 < tolerance < math.inf:
-        raise ValueError("tolerance must be positive and finite")
-    if max_period < 1:
-        raise ValueError("max_period must be >= 1")
+        raise ValueError(f"tolerance must be positive and finite, not {ontodyn.shown(tolerance)}")
+    max_period = ontodyn.json_int(max_period, "max_period", 1)
     if max_period > MAX_PERIOD_CAP:
         raise SizeCapError(f"max_period {ontodyn.shown(max_period)} exceeds cap {MAX_PERIOD_CAP}")
     n = t.shape[0]

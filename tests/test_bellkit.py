@@ -211,13 +211,13 @@ class TestMarginals:
     @pytest.mark.parametrize("grid_size", [0, -1])
     def test_empty_or_negative_grid_refused(self, grid_size):
         # a grid of no points would read as perfectly flat
-        with pytest.raises(ValueError, match=f"grid_size must be >= 1, not {grid_size}"):
+        with pytest.raises(ValueError, match=f"^grid_size must be at least 1, not {grid_size}$"):
             bellkit.marginal_flatness("a", grid_size)
 
     @pytest.mark.parametrize("grid_size", [0, -2])
     def test_empty_or_negative_correlation_grid_refused(self, grid_size):
         stream = io.StringIO()
-        with pytest.raises(ValueError, match=f"grid_size must be >= 1, not {grid_size}"):
+        with pytest.raises(ValueError, match=f"^grid_size must be at least 1, not {grid_size}$"):
             bellkit.write_correlation_grid_csv(grid_size, stream)
         assert stream.getvalue() == ""
 
@@ -274,13 +274,14 @@ class TestSampling:
 
     def test_count_validation(self):
         for count in (0, -1):
-            with pytest.raises(ValueError, match="sample count must be >= 1"):
+            with pytest.raises(ValueError, match=f"^count must be at least 1, not {count}$"):
                 bellkit.sample_triples(count, seed=1)
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_mc_chsh_refuses_counts_below_one(self, count):
         # no nan score from an empty mean, no numpy error on a negative size
-        with pytest.raises(ValueError, match="sample count must be >= 1"):
+        with pytest.raises(ValueError,
+                           match=f"^samples_per_setting must be at least 1, not {count}$"):
             bellkit.mc_chsh(*bellkit.STANDARD_SETTINGS, samples_per_setting=count, seed=1)
 
     def test_work_caps(self):
@@ -289,5 +290,8 @@ class TestSampling:
         with pytest.raises(ontodyn.SizeCapError, match="samples exceed cap"):
             bellkit.mc_chsh(*bellkit.STANDARD_SETTINGS,
                             samples_per_setting=bellkit.SAMPLE_CAP + 1, seed=1)
-        with pytest.raises(ontodyn.SizeCapError, match="grid size"):
-            bellkit.write_correlation_grid_csv(bellkit.GRID_CAP + 1, io.StringIO())
+        for grid in (lambda n: bellkit.write_correlation_grid_csv(n, io.StringIO()),
+                     lambda n: bellkit.marginal_flatness("a", n)):
+            with pytest.raises(ontodyn.SizeCapError, match=f"^grid size {bellkit.GRID_CAP + 1} "
+                                                           f"exceeds cap {bellkit.GRID_CAP}$"):
+                grid(bellkit.GRID_CAP + 1)

@@ -499,6 +499,18 @@ class TestFlatIndexing:
             c = unflatten_config(m, flat)
             assert fastslow.flat_config(m, c.slow, c.phases) == flat
 
+    @pytest.mark.parametrize("slow,phases,error", [
+        (0, (1.9, 0), r"^slow state and phases must be integers, "
+                      r"not ClassicalConfig\(slow=0, phases=\(1\.9, 0\)\)$"),
+        (0, (12, 0), "^phase 12 outside clock 0 period 10$"),
+        (5, (0, 0), "^unknown slow state 5$"),
+        (0, (0,), "^wrong number of clock phases$"),
+    ])
+    def test_a_config_outside_the_model_is_refused(self, slow, phases, error):
+        # no float truncated, no phase aliased onto another config's index
+        with pytest.raises(fastslow.ConfigError, match=error):
+            fastslow.flat_config(two_state_model(10, 7), slow, phases)
+
 
 class TestInputChecks:
     def test_document_that_is_not_an_object(self):
@@ -521,10 +533,10 @@ class TestInputChecks:
     @pytest.mark.parametrize("initial,horizon,samples,error", [
         (True, 5, 10, "unknown slow state True"),
         (0.0, 5, 10, "unknown slow state 0.0"),
-        (0, 5.0, 10, "horizon must be an integer >= 0, not 5.0"),
-        (0, True, 10, "horizon must be an integer >= 0, not True"),
-        (0, 5, 10.0, "sample_count must be an integer >= 1, not 10.0"),
-        (0, 5, True, "sample_count must be an integer >= 1, not True"),
+        (0, 5.0, 10, "horizon must be an integer, not 5.0"),
+        (0, True, 10, "horizon must be an integer, not True"),
+        (0, 5, 10.0, "sample_count must be an integer, not 10.0"),
+        (0, 5, True, "sample_count must be an integer, not True"),
     ])
     def test_run_arguments_that_are_not_integers_are_refused(
             self, initial, horizon, samples, error):

@@ -203,7 +203,9 @@ class TestEvolveBasisState:
 
     @pytest.mark.parametrize("k,t", [(3.0, 2), (1, 2.0), (True, 2), (np.int64(1), True)])
     def test_non_integer_state_or_time_is_refused(self, k, t):
-        with pytest.raises(ValueError, match="state k and time t must be integers"):
+        # k is read first, so the message names the first of the two refused
+        name, value = ("state k", k) if isinstance(k, (float, bool)) else ("time t", t)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, not {value}$"):
             ontodyn.evolve_basis_state(law([1, 2, 0, 4, 3]), k, t)
 
     def test_numpy_integers_are_accepted(self):
@@ -249,6 +251,17 @@ class TestCycleSpectrum:
     def test_rejects_zero_length(self):
         with pytest.raises(ValueError):
             ontodyn.cycle_spectrum(0)
+
+    def test_size_cap_is_refused_before_any_allocation(self):
+        # the eigenvectors of one cycle of DENSE_CAP + 1 states would take 4 GiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ontodyn.SizeCapError, match="dense eigenvector matrix refused"):
+                ontodyn.cycle_spectrum(ontodyn.DENSE_CAP + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_trivial_cycle(self):
         spec = ontodyn.cycle_spectrum(1)
@@ -403,10 +416,18 @@ class TestInputReaders:
         (2.0, "must be an integer, not 2.0"),
         ("2", "must be an integer, not '2'"),
         (-1, "must be at least 0, not -1"),
+        (np.bool_(True), "must be an integer, not np.True_"),
     ])
     def test_json_int(self, value, message):
         with pytest.raises(ValueError, match=f"^--n {message}$"):
             ontodyn.json_int(value, "--n", 0)
+
+    def test_numpy_scalars_are_read_as_python_numbers(self):
+        for value in (np.int64(7), np.uint8(7), np.int32(7)):
+            assert type(ontodyn.json_int(value, "f")) is int and ontodyn.json_int(value, "f") == 7
+        assert list(map(type, ontodyn.json_ints([1, np.int64(2)], "f"))) == [int, int]
+        for value in (np.float64(2.5), np.float32(2.5), np.int64(3)):
+            assert type(ontodyn.json_real(value, "f")) is float
 
     def test_json_objects_names_the_entry(self):
         with pytest.raises(ValueError, match="^f entry 1 has no field 'b'$"):
@@ -414,7 +435,7 @@ class TestInputReaders:
         with pytest.raises(ValueError, match="^f entry 0 must be a JSON object, not 5$"):
             ontodyn.json_objects([5] * 100_000, "f")
 
-    @pytest.mark.parametrize("value", [True, None, [1.0], "0.5", 10 ** 400])
+    @pytest.mark.parametrize("value", [True, None, [1.0], "0.5", 10 ** 400, np.bool_(True)])
     def test_json_real_refusals(self, value):
         with pytest.raises(ValueError, match="must be a number within float range"):
             ontodyn.json_real(value, "f")
